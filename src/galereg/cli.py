@@ -17,8 +17,7 @@ inconsistency, 2 bad input, 3 golden or consistency mismatch.
 ``--file`` points at a JSON object holding exactly one of ``"A"``,
 ``"basis"``, ``"gale"`` or ``"lattice"`` (an alias for ``"basis"``);
 for ``reduce`` it may also hold a ``"partition"`` of row indices into
-the four quadrant classes.  ``GALEREG_THREADS`` caps the searches'
-worker count.
+the four quadrant classes.
 """
 
 from __future__ import annotations
@@ -33,13 +32,11 @@ from .errors import (
     Degenerate,
     GaleregError,
     InternalInconsistency,
+    PreconditionNotBalanced,
+    PreconditionUnbalancedPair,
     UnknownSearch,
 )
-from .fiberhom import (
-    degree_and_regularity,
-    hilbert_degree,
-    reg_deg_via_hilbert,
-)
+from .fiberhom import degree_and_regularity, hilbert_degree
 from .quadrangle import (
     enumerate_syzygy_quadrangles,
     is_cohen_macaulay,
@@ -62,13 +59,7 @@ from .searches import (
     golden_payload,
     run_search,
 )
-from .errors import (
-    PreconditionNotBalanced,
-    PreconditionUnbalancedPair,
-)
 from .zlattice import (
-    GaleDiagram,
-    Lattice,
     is_nondegenerate,
     is_saturated,
     kernel_lattice,
@@ -191,24 +182,16 @@ def cmd_analyze(args):
         "cohen_macaulay": cm,
     }
     if args.fast:
-        reg, deg = reg_deg_via_hilbert(lattice)
-        reg_fast = regularity_fast(lattice)
-        if reg_fast != reg:
-            raise InternalInconsistency(
-                f"syzygy-quadrangle regularity {reg_fast} != Hilbert regularity {reg}"
-            )
-        reg = reg_fast
+        deg, reg = hilbert_degree(lattice), regularity_fast(lattice)
     else:
         deg, reg, table = degree_and_regularity(lattice, field=field)
         report["betti"] = table.to_json_dict()
         if args.certify:
-            reg_h, deg_h = reg_deg_via_hilbert(lattice)
-            reg_fast = regularity_fast(lattice)
-            if (deg_h, reg_h) != (deg, reg) or reg_fast != reg:
+            fast = (hilbert_degree(lattice), regularity_fast(lattice))
+            if fast != (deg, reg):
                 raise InternalInconsistency(
                     "fast invariants disagree with the homology oracle: "
-                    f"hilbert (deg, reg) = ({deg_h}, {reg_h}), quadrangle reg = "
-                    f"{reg_fast}, oracle (deg, reg) = ({deg}, {reg})"
+                    f"fast (deg, reg) = {fast}, oracle (deg, reg) = ({deg}, {reg})"
                 )
     report["degree"] = deg
     report["regularity"] = reg
@@ -265,12 +248,7 @@ def _simplicity_block(datum, pair):
         return None
     block = {"holds": holds}
     if witness is not None:
-        block["witness"] = {
-            "side": witness.side,
-            "v": list(witness.v),
-            "w": list(witness.w),
-            "shape": witness.shape,
-        }
+        block["witness"] = witness.to_json_dict()
     return block
 
 
@@ -436,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--fast",
         action="store_true",
-        help="skip homology; use quadrangle and Hilbert shortcuts",
+        help="skip homology; use the Gale degree, quadrangle and Hilbert shortcuts",
     )
     mode.add_argument(
         "--certify",

@@ -7,9 +7,11 @@ monomials computes multigraded Betti numbers of S/I_L:
 
     beta_{i,C}(S/I_L) = rank of the (i-1)-st reduced homology of the complex.
 
-The degree of I_L is the stabilized finite difference of the Hilbert
-function (the number of fiber classes per total degree), and the
-regularity is read off the Betti table.  All arithmetic is exact; a
+For a rank-2 lattice the degree of I_L has a closed form on the Gale
+diagram (:func:`hilbert_degree`); the regularity is read off the Betti
+table.  The oracle's horizon comes from a heuristic stopping rule
+(:func:`_resolve_rows`, its only user), and for rank 2 the degree it
+finds is checked against the closed form.  All arithmetic is exact; a
 checked int64 fast path accelerates the enumeration and falls back to
 big integers when its bound fails.
 
@@ -284,9 +286,10 @@ def _diff_tail(hf, m: int, window: int):
 def _resolve_rows(rows, field=None):
     """Degree, regularity, Betti table, and Hilbert values for a span.
 
-    Works for any column rank; drives the horizon until the Hilbert
-    difference is stable over a full window, the horizon clears the
-    candidate degree by 2, and no Betti entry sits within 3 of it.
+    Works for any column rank.  The stopping rule is a heuristic: the
+    horizon grows until the Hilbert difference is stable over a full
+    window, clears the candidate degree by 2, and no Betti entry sits
+    within 3 of it.
     """
     ctx = _ctx(rows)
     n, r = ctx.n, ctx.r
@@ -331,13 +334,19 @@ def degree_and_regularity_of_span(columns, field=None):
 def degree_and_regularity(lattice: Lattice, field=None):
     """Exact (degree, regularity, BettiTable) of the lattice ideal.
 
-    Requires a nondegenerate lattice.  Verifies regularity <= degree,
-    which holds for every codimension-2 lattice ideal, and raises
-    InternalInconsistency otherwise.
+    Requires a nondegenerate lattice.  Verifies that the degree where
+    the Hilbert difference stabilized equals :func:`hilbert_degree` and
+    that regularity <= degree, which holds for every codimension-2
+    lattice ideal, and raises InternalInconsistency otherwise.
     """
     if not is_nondegenerate(lattice):
         raise Degenerate("some x_i - x_j lies in the ideal")
     deg, reg, table, _ = _resolve_rows(lattice.rows, field)
+    gale_deg = hilbert_degree(lattice)
+    if deg != gale_deg:
+        raise InternalInconsistency(
+            f"Hilbert-difference degree {deg} != Gale-diagram degree {gale_deg}"
+        )
     if reg > deg:
         raise InternalInconsistency(f"regularity {reg} exceeds degree {deg}")
     return deg, reg, table
@@ -364,31 +373,28 @@ def hilbert_function(lattice: Lattice, d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert-series shortcuts (no homology)
-
-
-@lru_cache(maxsize=None)
-def _hilbert_growth(rows):
-    """(degree, Hilbert values) from counts alone, horizon chosen adaptively."""
-    ctx = _ctx(rows)
-    n, r = ctx.n, ctx.r
-    m = n - r - 1
-    hf = []
-    d = 0
-    while True:
-        count, _ = _degree_data(ctx, d, False)
-        hf.append(count)
-        tail = _diff_tail(hf, m, n)
-        if tail is not None and len(set(tail)) == 1 and tail[0] >= 1 and d >= tail[0] + 2:
-            return tail[0], tuple(hf)
-        if d > _HARD_HORIZON:
-            raise InternalInconsistency("Hilbert function failed to stabilize")
-        d += 1
+# degree and Hilbert-series shortcuts (no homology)
 
 
 def hilbert_degree(lattice: Lattice) -> int:
-    """Degree of the lattice ideal from Hilbert counts only (no homology)."""
-    return _hilbert_growth(lattice.rows)[0]
+    """Degree of the lattice ideal, exactly, from its Gale diagram.
+
+    deg I_L = sum |det(b_i, b_j)| over the pairs of Gale vectors whose
+    open cone holds a generic vector w: the Gale-dual form of degree as
+    a normalized volume (Sturmfels, Groebner Bases and Convex Polytopes,
+    1996).  w = (1, K) with K = 1 + max |coordinate| is parallel to no
+    nonzero row.  In w = alpha b_i + beta b_j with d = det(b_i, b_j),
+    alpha and beta have the signs of d * det(w, b_j) and
+    d * det(b_i, w), so cone membership is decided by integer signs.
+    """
+    rows = lattice.rows
+    w = (1, 1 + max(abs(x) for r in rows for x in r))
+    total = 0
+    for a, b in combinations(rows, 2):
+        d = det2(a, b)
+        if d * det2(w, b) > 0 and d * det2(a, w) > 0:
+            total += abs(d)
+    return total
 
 
 def reg_deg_via_hilbert(lattice: Lattice):
@@ -398,23 +404,11 @@ def reg_deg_via_hilbert(lattice: Lattice):
     the numerator of the Hilbert series then ends in degree reg + 1.
     Cheap, exact, and homology-free.
     """
-    rows = lattice.rows
-    n = len(rows)
-    deg, hf = _hilbert_growth(rows)
-    need = deg + 5
-    hf = list(hf)
-    ctx = _ctx(rows)
-    while len(hf) <= need:
-        count, _ = _degree_data(ctx, len(hf), False)
-        hf.append(count)
-    numer = []
-    for k in range(need + 1):
-        c = sum((-1) ** j * math.comb(n, j) * hf[k - j]
-                for j in range(min(k, n) + 1) if k - j < len(hf))
-        numer.append(c)
-    if any(numer[k] for k in range(deg + 2, need + 1)):
+    deg = hilbert_degree(lattice)
+    numer = hilbert_numerator(lattice, deg + 5)
+    if any(numer[deg + 2:]):
         raise InternalInconsistency("Hilbert numerator does not terminate; not Cohen-Macaulay?")
-    last = max(k for k in range(need + 1) if numer[k])
+    last = max(k for k, c in enumerate(numer) if c)
     return last - 1, deg
 
 

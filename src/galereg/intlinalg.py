@@ -195,6 +195,21 @@ def det2(a, b) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
+def xgcd(a: int, b: int):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def rot90(v):
     """Counterclockwise quarter turn: (x, y) -> (-y, x)."""
     return (-v[1], v[0])

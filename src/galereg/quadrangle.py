@@ -26,8 +26,8 @@ from math import ceil, floor
 
 from .errors import PreconditionCI, PreconditionCM
 from .fiberhom import FiberClass, fiber_of, hilbert_degree, reg_deg_via_hilbert
-from .intlinalg import det2, dot2, primitive_part, rot90
-from .zlattice import GaleDiagram, Lattice, _xgcd
+from .intlinalg import det2, dot2, primitive_part, rot90, xgcd
+from .zlattice import GaleDiagram, Lattice
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def _imbalancing_shear_exists(rows, v) -> bool:
     other row b imposes a one-sided rational bound on the shear
     parameter k in f = u0 + k*rot90(v).
     """
-    g, x, y = _xgcd(v[0], v[1])
+    g, x, y = xgcd(v[0], v[1])
     assert g == 1
     u0 = (x, y)
     omega = rot90(v)
@@ -203,7 +203,11 @@ def enumerate_syzygy_quadrangles(lattice: Lattice, bound: int):
 
 
 def _cm_search_bound(lattice: Lattice) -> int:
-    """Horizon deg + 2; any quadrangle at all appears within it."""
+    """Horizon deg + 2, with deg exact from the Gale diagram.
+
+    A quadrangle has total degree at most reg + 2 <= deg + 2, so a scan
+    up to this bound finds every quadrangle.
+    """
     return hilbert_degree(lattice) + 2
 
 

@@ -35,9 +35,9 @@ from .errors import (
     PreconditionUnbalancedPair,
 )
 from .fiberhom import fiber_of, hilbert_degree
-from .intlinalg import det2, dot2, primitive_part, rot90
+from .intlinalg import det2, dot2, primitive_part, rot90, xgcd
 from .quadrangle import SyzygyQuadrangle, _total_degree, regularity_fast
-from .zlattice import GaleDiagram, Lattice, _xgcd, hits_all_open_quadrants, lattice_from_gale
+from .zlattice import GaleDiagram, Lattice, hits_all_open_quadrants, lattice_from_gale
 
 _QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
 
@@ -285,7 +285,7 @@ def _pair_solutions(p, q, others):
         return (), False
     if (q[0], q[1]) != (-p[0], -p[1]):
         return (), False
-    g, x, y = _xgcd(p[0], p[1])
+    g, x, y = xgcd(p[0], p[1])
     if g != 1:
         return (), False
     u0 = (x, y)

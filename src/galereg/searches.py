@@ -19,19 +19,14 @@ The first two searches have committed golden records under
 ``galereg/data/``; :func:`check_golden` compares a fresh run against
 them byte-for-byte.
 
-The worker count for the candidate-filtering stage is taken from the
-``GALEREG_THREADS`` environment variable (default: serial).  Results
-never depend on the worker count or on candidate order: survivors are
-deduplicated by canonical key and sorted before reporting.
+Results never depend on candidate order: survivors are deduplicated by
+canonical key and sorted before reporting.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -126,29 +121,6 @@ class SweepReport:
 # shared machinery
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("GALEREG_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _filter_map(items, fn, threads):
-    """Apply ``fn`` (item -> list) over ``items``, optionally in a pool.
-
-    The concatenation order follows the chunk layout, but every caller
-    deduplicates and sorts afterwards, so results are independent of
-    the worker count.
-    """
-    if threads <= 1 or len(items) < 2 * threads:
-        return [r for it in items for r in fn(it)]
-    chunks = [items[i::threads] for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda chunk: [r for it in chunk for r in fn(it)], chunks)
-        return [r for part in parts for r in part]
-
-
 def _has_rank_two(rows) -> bool:
     base = next((r for r in rows if r != (0, 0)), None)
     if base is None:
@@ -227,7 +199,7 @@ def _two_quadrics_maximal(lat: Lattice) -> bool:
     return reg == deg - 1
 
 
-def search_ci_table(ns=range(3, 9), threads=None, _scramble=None) -> SearchReport:
+def search_ci_table(ns=range(3, 9)) -> SearchReport:
     """Find every two-quadric complete intersection of maximal regularity.
 
     Candidates are lattices spanned by a pair of quadric binomial
@@ -238,11 +210,7 @@ def search_ci_table(ns=range(3, 9), threads=None, _scramble=None) -> SearchRepor
     coordinate permutation.
     """
     start = time.perf_counter()
-    threads = _worker_count() if threads is None else max(1, threads)
-    sizes = list(ns)
-    if _scramble is not None:
-        random.Random(_scramble).shuffle(sizes)
-    candidates = _filter_map(sizes, _ci_candidates, threads)
+    candidates = [lat for n in ns for lat in _ci_candidates(n)]
     reps, keys = _dedupe_by_key(candidates)
     kept = [(lat, key) for lat, key in zip(reps, keys) if _two_quadrics_maximal(lat)]
     found = tuple(lat for lat, _ in kept)
@@ -315,7 +283,7 @@ def _cm_nonci_candidates(n):
     return found
 
 
-def search_cm_nonci(max_n=6, threads=None) -> SearchReport:
+def search_cm_nonci(max_n=6) -> SearchReport:
     """Find every Cohen-Macaulay non complete intersection of maximal
     regularity with at most ``max_n`` nonzero Gale vectors of entries
     bounded by 2.
@@ -326,9 +294,7 @@ def search_cm_nonci(max_n=6, threads=None) -> SearchReport:
     which the canonical key realizes.
     """
     start = time.perf_counter()
-    threads = _worker_count() if threads is None else max(1, threads)
-    sizes = list(range(3, max_n + 1))
-    candidates = _filter_map(sizes, _cm_nonci_candidates, threads)
+    candidates = [lat for n in range(3, max_n + 1) for lat in _cm_nonci_candidates(n)]
     reps, keys = _dedupe_by_key(candidates)
     kept = [(lat, key) for lat, key in zip(reps, keys) if classify_cm_nonci(lat)]
     found = tuple(lat for lat, _ in kept)

@@ -27,6 +27,7 @@ from .intlinalg import (
     mat_rank,
     primitive_part,
     solve_2x2,
+    xgcd,
 )
 
 Vec2 = tuple  # (x, y) integer pair
@@ -256,21 +257,6 @@ def gale_equivalent(g, h, up_to_permutation: bool = False) -> bool:
     return False
 
 
-def _xgcd(a: int, b: int):
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _distinct_orderings(values):
     """Distinct permutations of a value multiset, in lexicographic order."""
     counts = {}
@@ -301,7 +287,7 @@ def _hnf2_key(rows):
     v = [r[1] for r in rows]
     n = len(u)
     r1 = next(r for r in range(n) if u[r] or v[r])
-    g, x, y = _xgcd(u[r1], v[r1])
+    g, x, y = xgcd(u[r1], v[r1])
     s, t = v[r1] // g, u[r1] // g
     c1 = [x * u[i] + y * v[i] for i in range(n)]
     c2 = [t * v[i] - s * u[i] for i in range(n)]

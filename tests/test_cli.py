@@ -84,6 +84,20 @@ def test_analyze_degenerate(capsys):
     assert doc["error"]["type"] == "Degenerate"
 
 
+@pytest.mark.parametrize("basis, saturated, deg_reg", [
+    ("[[-2,-1,2,1],[-2,3,2,-3]]", False, (8, 8)),
+    ("[[1,-1,-1,1],[0,1,-3,2]]", True, (4, 3)),
+])
+@pytest.mark.parametrize("flags", [[], ["--fast"], ["--certify"]])
+def test_analyze_not_cohen_macaulay_all_modes(capsys, basis, saturated, deg_reg, flags):
+    code, doc = run(capsys, "analyze", "--basis", basis, *flags)
+    assert code == 0
+    assert doc["cohen_macaulay"] is False
+    assert doc["saturated"] is saturated
+    assert (doc["degree"], doc["regularity"]) == deg_reg
+    assert doc["regularity"] == doc["quadrangles"][-1]["total"] - 2
+
+
 def test_analyze_internal_inconsistency_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "regularity_fast", lambda lattice: 99)
     code, doc = run(capsys, "analyze", "--basis", BASIS_TWISTED_CUBIC, "--fast")

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from galereg.errors import BadInput, Degenerate
+import galereg.fiberhom as fiberhom
+from galereg.errors import BadInput, Degenerate, InternalInconsistency
 from galereg.fiberhom import (
     BettiTable,
     betti_table,
@@ -139,6 +140,12 @@ def test_degree_and_regularity_rejects_degenerate():
     lat = kernel_lattice([(1, 0, 0, 1, 0), (0, 1, 1, 0, 1), (1, 1, 1, 0, 0)])
     with pytest.raises(Degenerate):
         degree_and_regularity(lat)
+
+
+def test_oracle_degree_checked_against_gale_degree(monkeypatch):
+    monkeypatch.setattr(fiberhom, "hilbert_degree", lambda lattice: 99)
+    with pytest.raises(InternalInconsistency):
+        degree_and_regularity(TWISTED_CUBIC)
 
 
 def test_reg_deg_via_hilbert_and_degree():

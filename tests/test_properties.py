@@ -176,6 +176,23 @@ def test_regularity_at_most_degree(rows):
         assert reg_deg_via_hilbert(lat) == (reg, deg)
 
 
+@settings(deadline=None, max_examples=30)
+@given(gale_rows(max_n=4), st.booleans())
+def test_gale_degree_is_hilbert_polynomial_degree(rows, zero_row):
+    """Non-saturated diagrams and diagrams with a zero row included."""
+    if zero_row:
+        rows = rows + ((0, 0),)
+    lat = lattice_from_gale(rows)
+    assume(is_nondegenerate(lat))
+    assume(zero_row or not is_saturated(lat))
+    n = lat.n
+    deg = hilbert_degree(lat)
+    diffs = [hilbert_function(lat, d) for d in range(deg, deg + n - 2)]
+    for _ in range(n - 3):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    assert diffs == [deg]
+
+
 # ---------------------------------------------------------------------------
 # syzygy quadrangles
 

@@ -1,5 +1,7 @@
 """Finite searches, golden records, and the consistency sweep."""
 
+import random
+
 import pytest
 
 from galereg.classify import MAXIMAL_CI_DIAGRAMS
@@ -7,7 +9,8 @@ from galereg.errors import InternalInconsistency, UnknownSearch
 from galereg.searches import (
     CM_NONCI_DIAGRAMS,
     SearchReport,
-    _worker_count,
+    _ci_candidates,
+    _dedupe_by_key,
     check_golden,
     consistency_sweep,
     golden_payload,
@@ -44,10 +47,14 @@ def test_ci_search_small_sizes():
 
 
 def test_ci_search_order_independent():
-    base = search_ci_table(ns=range(3, 5))
-    scrambled = search_ci_table(ns=range(3, 5), _scramble=7)
-    assert scrambled.keys == base.keys
-    assert scrambled.saturated_count == base.saturated_count
+    candidates = [lat for n in range(3, 5) for lat in _ci_candidates(n)]
+    base_reps, base_keys = _dedupe_by_key(candidates)
+    shuffled = list(candidates)
+    random.Random(7).shuffle(shuffled)
+    reps, keys = _dedupe_by_key(shuffled)
+    assert keys == base_keys
+    assert [lat.n for lat in reps] == [lat.n for lat in base_reps]
+    assert [is_saturated(lat) for lat in reps] == [is_saturated(lat) for lat in base_reps]
 
 
 # ---------------------------------------------------------------------------
@@ -154,26 +161,3 @@ def test_consistency_sweep_empty_box():
     assert report.orbit_count == 0
     assert report.candidate_count == 0
     assert report.mismatches == ()
-
-
-# ---------------------------------------------------------------------------
-# worker configuration
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("GALEREG_THREADS", "3")
-    assert _worker_count() == 3
-    monkeypatch.setenv("GALEREG_THREADS", "junk")
-    assert _worker_count() == 1
-    monkeypatch.setenv("GALEREG_THREADS", "0")
-    assert _worker_count() == 1
-    monkeypatch.delenv("GALEREG_THREADS")
-    assert _worker_count() == 1
-
-
-def test_threads_do_not_change_results(monkeypatch):
-    baseline = search_cm_nonci(max_n=4)
-    monkeypatch.setenv("GALEREG_THREADS", "3")
-    threaded = search_cm_nonci(max_n=4)
-    assert threaded.keys == baseline.keys
-    assert threaded.saturated_count == baseline.saturated_count
