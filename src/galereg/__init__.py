@@ -64,6 +64,7 @@ from .fiberhom import (
     polygon_of,
     reduced_homology_ranks,
     reg_deg_via_hilbert,
+    regularity_from_numerator,
 )
 
 from .quadrangle import (

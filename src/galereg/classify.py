@@ -38,9 +38,8 @@ from .errors import (
 from .fiberhom import (
     degree_and_regularity,
     hilbert_degree,
-    hilbert_function,
     hilbert_numerator,
-    reg_deg_via_hilbert,
+    regularity_from_numerator,
 )
 from .intlinalg import det2, is_visible
 from .quadrangle import is_cohen_macaulay, is_complete_intersection
@@ -247,16 +246,18 @@ def cm_char0_criterion(lattice: Lattice) -> CmMaximalityReport:
     if not is_cohen_macaulay(lattice):
         raise PreconditionNotCM("fiber-count criterion needs a Cohen-Macaulay ideal")
     n = lattice.n
-    count = hilbert_function(lattice, 2)
+    deg = hilbert_degree(lattice)
+    k_all = hilbert_numerator(lattice, deg + 5)
+    reg = regularity_from_numerator(k_all, deg)
+    # H(2) is the t^2 coefficient of K(t) / (1 - t)^n
+    count = sum(k_all[k] * comb(n + 1 - k, n - 1) for k in range(3))
     pairs = comb(n + 1, 2)
     thresholds = (pairs - 3, pairs - 2)
-    reg, deg = reg_deg_via_hilbert(lattice)
     maximal = count in thresholds
     numerator = None
     numerator_ok = None
     if maximal:
-        k_poly = hilbert_numerator(lattice, reg + 1)
-        q, r1 = _divide_once_by_one_minus_t(k_poly)
+        q, r1 = _divide_once_by_one_minus_t(k_all[:reg + 2])
         h, r2 = _divide_once_by_one_minus_t(q)
         if r1 or r2:
             raise InternalInconsistency(

@@ -140,6 +140,36 @@ def _lattice_from_args(args):
     return lattice, echo, payload
 
 
+#: The first 13 primes.  As Miller-Rabin bases they decide primality
+#: exactly below _PRIME_LIMIT (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin test, exact for p < _PRIME_LIMIT."""
+    if p < 2:
+        return False
+    if p in _MR_BASES:
+        return True
+    if any(p % b == 0 for b in _MR_BASES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _parse_field(text: str):
     if text == "rational":
         return None
@@ -147,7 +177,9 @@ def _parse_field(text: str):
         p = int(text)
     except ValueError:
         raise BadInput(f'--field must be "rational" or a prime, got {text!r}') from None
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if p >= _PRIME_LIMIT:
+        raise BadInput(f"--field {p} is too large to certify prime; use a prime below {_PRIME_LIMIT}")
+    if not _is_prime(p):
         raise BadInput(f"--field {p} is not prime")
     return p
 

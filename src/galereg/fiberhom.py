@@ -405,11 +405,18 @@ def reg_deg_via_hilbert(lattice: Lattice):
     Cheap, exact, and homology-free.
     """
     deg = hilbert_degree(lattice)
-    numer = hilbert_numerator(lattice, deg + 5)
+    return regularity_from_numerator(hilbert_numerator(lattice, deg + 5), deg), deg
+
+
+def regularity_from_numerator(numer, deg: int) -> int:
+    """Regularity of a Cohen-Macaulay S/I_L from its Hilbert numerator.
+
+    ``numer`` must run through degree deg + 2 or beyond; its last
+    nonzero coefficient sits in degree reg + 1 <= deg + 1.
+    """
     if any(numer[deg + 2:]):
         raise InternalInconsistency("Hilbert numerator does not terminate; not Cohen-Macaulay?")
-    last = max(k for k, c in enumerate(numer) if c)
-    return last - 1, deg
+    return max(k for k, c in enumerate(numer) if c) - 1
 
 
 def hilbert_numerator(lattice: Lattice, through: int):

@@ -257,57 +257,54 @@ def gale_equivalent(g, h, up_to_permutation: bool = False) -> bool:
     return False
 
 
-def _distinct_orderings(values):
-    """Distinct permutations of a value multiset, in lexicographic order."""
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    keys = sorted(counts)
-    total = len(values)
-    prefix = []
-
-    def rec():
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for v in keys:
-            if counts[v]:
-                counts[v] -= 1
-                prefix.append(v)
-                yield from rec()
-                prefix.pop()
-                counts[v] += 1
-
-    yield from rec()
-
-
-def _hnf2_key(rows):
-    """Flattened column Hermite form of the basis with rows in the given order."""
-    u = [r[0] for r in rows]
-    v = [r[1] for r in rows]
-    n = len(u)
-    r1 = next(r for r in range(n) if u[r] or v[r])
-    g, x, y = xgcd(u[r1], v[r1])
-    s, t = v[r1] // g, u[r1] // g
-    c1 = [x * u[i] + y * v[i] for i in range(n)]
-    c2 = [t * v[i] - s * u[i] for i in range(n)]
-    r2 = next(r for r in range(r1 + 1, n) if c2[r])
-    if c2[r2] < 0:
-        c2 = [-a for a in c2]
-    q = c1[r2] // c2[r2]
-    if q:
-        c1 = [c1[i] - q * c2[i] for i in range(n)]
-    return tuple(c1) + tuple(c2)
-
-
 def permutation_canonical_key(lattice: Lattice) -> tuple:
     """Canonical key identifying the lattice up to coordinate permutation.
 
-    Lexicographically minimal column Hermite form over all row
-    permutations; two lattices get the same key exactly when one is the
-    image of the other under a permutation of the ambient coordinates.
+    The key is the lexicographically least flattened column Hermite
+    form (the column c1, then the column c2) over all orderings of the
+    rows; two lattices get the same key exactly when one is the image
+    of the other under a permutation of the ambient coordinates.
+
+    The form of one ordering is fixed by two rows: the first nonzero
+    row a and the first row b not parallel to a.  A unimodular change
+    of basis sends a to (g, 0) with g = gcd(a), makes c2(b) > 0, and
+    shears c1 so that 0 <= c1(b) < c2(b); every row then has a fixed
+    image (c1, c2), and c2 = 0 exactly on the rows parallel to a and
+    the zero rows.  Among the orderings with the same a, b and number
+    j of nonzero rows between them, the least form puts the zero rows
+    first (c1 is 0 on them and g > 0 on a), then a, then the j rows
+    parallel to a with the least c1 in ascending order, then b, then
+    the remaining rows sorted by (c1, c2): each choice minimises the
+    first c1 entry where two orderings differ, and sorting ties by c2
+    minimises the c2 column.  So the minimum over all n! orderings is
+    the minimum over the candidates (a, b, j), with a and b distinct
+    row values and 0 <= j <= the number of other rows parallel to a:
+    O(n^3) candidates, each built in O(n log n).
     """
-    return min(_hnf2_key(order) for order in _distinct_orderings(lattice.rows))
+    nonzero = [r for r in lattice.rows if r != (0, 0)]
+    lead = (0,) * (lattice.n - len(nonzero))
+    best = None
+    for a in set(nonzero):
+        g, x, y = xgcd(a[0], a[1])
+        s, t = a[1] // g, a[0] // g
+        pairs = [(x * u + y * v, t * v - s * u) for u, v in nonzero]
+        parallel = sorted(c1 for c1, c2 in pairs if not c2)
+        parallel.remove(g)
+        others = [p for p in pairs if p[1]]
+        for b1, b2 in set(others):
+            sign, m = (1 if b2 > 0 else -1), abs(b2)
+            q = b1 // m
+            rest = [(c1 - q * sign * c2, sign * c2) for c1, c2 in others]
+            rest.remove((b1 % m, m))
+            for j in range(len(parallel) + 1):
+                tail = sorted(rest + [(c1, 0) for c1 in parallel[j:]])
+                key = (lead + (g,) + tuple(parallel[:j]) + (b1 % m,)
+                       + tuple(c1 for c1, _ in tail)
+                       + lead + (0,) * (j + 1) + (m,)
+                       + tuple(c2 for _, c2 in tail))
+                if best is None or key < best:
+                    best = key
+    return best
 
 
 def lies_on_two_lines(vectors) -> bool:

@@ -64,6 +64,29 @@ def test_analyze_prime_field(capsys):
     assert doc["error"]["type"] == "BadInput"
 
 
+def test_analyze_large_prime_field(capsys):
+    # 2^61 - 1: trial division up to its square root is about 10^9 steps
+    p = 2**61 - 1
+    assert cli._parse_field(str(p)) == p
+    code, doc = run(capsys, "analyze", "--A", A_TWISTED_CUBIC, "--field", str(p))
+    assert code == 0
+    assert doc["field"] == p
+    assert (doc["degree"], doc["regularity"]) == (3, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "561",  # Carmichael number
+    "3825123056546413051",  # strong pseudoprime to the bases 2, 3, ..., 23
+    "9",
+    "1",
+    str(2**89 - 1),  # prime, but above the range the test is exact on
+])
+def test_analyze_rejects_field(capsys, text):
+    code, doc = run(capsys, "analyze", "--A", A_TWISTED_CUBIC, "--field", text)
+    assert code == 2
+    assert doc["error"]["type"] == "BadInput"
+
+
 def test_analyze_not_saturated(capsys, tmp_path):
     path = tmp_path / "lat.json"
     path.write_text(json.dumps({"gale": [[1, 1], [1, -2], [-2, 1]]}))

@@ -20,6 +20,7 @@ from galereg.fiberhom import (
     polygon_of,
     reduced_homology_ranks,
     reg_deg_via_hilbert,
+    regularity_from_numerator,
 )
 from galereg.zlattice import contains, kernel_lattice, lattice_from_gale
 
@@ -84,6 +85,17 @@ def _naive_hilbert(lat, d):
 def test_hilbert_function_against_naive_grouping(lat):
     for d in range(6):
         assert hilbert_function(lat, d) == _naive_hilbert(lat, d)
+
+
+@pytest.mark.parametrize("lat", [TWISTED_CUBIC, CI_22, CM_NONCI_N3, n4_family(4)])
+def test_big_integer_fallback_matches_numpy(lat, monkeypatch):
+    ctx = fiberhom._ctx(lat.rows)
+    fast = [fiberhom._degree_data(ctx, d, True) for d in range(5)]
+    monkeypatch.setattr(fiberhom, "_INT64_SAFE", 0)
+    for d, (count, groups) in enumerate(fast):
+        slow_count, slow_groups = fiberhom._degree_data(ctx, d, True)
+        assert slow_count == count
+        assert sorted(map(sorted, slow_groups)) == sorted(map(sorted, groups))
 
 
 def test_hilbert_function_negative_degree():
@@ -152,6 +164,9 @@ def test_reg_deg_via_hilbert_and_degree():
     assert reg_deg_via_hilbert(TWISTED_CUBIC) == (2, 3)
     assert reg_deg_via_hilbert(CI_22) == (3, 4)
     assert hilbert_degree(n4_family(5)) == 5
+    assert regularity_from_numerator(hilbert_numerator(TWISTED_CUBIC, 8), 3) == 2
+    with pytest.raises(InternalInconsistency):
+        regularity_from_numerator((1, 0, -3, 2, 0, 0, 1), 3)
 
 
 def test_hilbert_numerator():

@@ -1,6 +1,6 @@
 """Property-based invariants: equivalence, transforms, Hilbert counts."""
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -11,7 +11,7 @@ from galereg.fiberhom import (
     hilbert_function,
     reg_deg_via_hilbert,
 )
-from galereg.intlinalg import dot2
+from galereg.intlinalg import dot2, xgcd
 from galereg.quadrangle import (
     enumerate_syzygy_quadrangles,
     is_cohen_macaulay,
@@ -116,6 +116,63 @@ def test_invariants_under_equivalence(pair):
     assert is_saturated(base) == is_saturated(image)
     assert is_nondegenerate(base) == is_nondegenerate(image)
     assert is_complete_intersection(base) == is_complete_intersection(image)
+
+
+def _hnf2_key(rows):
+    """Flattened column Hermite form of the basis with rows in the given order."""
+    u = [r[0] for r in rows]
+    v = [r[1] for r in rows]
+    n = len(u)
+    r1 = next(r for r in range(n) if u[r] or v[r])
+    g, x, y = xgcd(u[r1], v[r1])
+    s, t = v[r1] // g, u[r1] // g
+    c1 = [x * u[i] + y * v[i] for i in range(n)]
+    c2 = [t * v[i] - s * u[i] for i in range(n)]
+    r2 = next(r for r in range(r1 + 1, n) if c2[r])
+    if c2[r2] < 0:
+        c2 = [-a for a in c2]
+    q = c1[r2] // c2[r2]
+    c1 = [c1[i] - q * c2[i] for i in range(n)]
+    return tuple(c1) + tuple(c2)
+
+
+def brute_force_key(lattice):
+    """The least Hermite form over every distinct row ordering."""
+    return min(_hnf2_key(order) for order in set(permutations(lattice.rows)))
+
+
+@st.composite
+def keyed_rows(draw):
+    """Gale rows with zero rows, repeated rows and multiples of the first nonzero row."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    head = []
+    for _ in range(n - 1):
+        kind = draw(st.sampled_from(("free", "zero", "repeat", "parallel")))
+        first = next((v for v in head if v != (0, 0)), None)
+        if kind == "zero":
+            v = (0, 0)
+        elif kind == "repeat" and head:
+            v = draw(st.sampled_from(head))
+        elif kind == "parallel" and first:
+            k = draw(st.sampled_from((-2, -1, 2)))
+            v = (k * first[0], k * first[1])
+        else:
+            v = draw(vectors)
+        head.append(v)
+    last = (-sum(v[0] for v in head), -sum(v[1] for v in head))
+    rows = draw(st.permutations(head + [last]))
+    try:
+        lattice_from_gale(rows)
+    except GaleregError:
+        assume(False)
+    return tuple(rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(keyed_rows())
+def test_canonical_key_is_least_hermite_form(rows):
+    lat = lattice_from_gale(rows)
+    assert permutation_canonical_key(lat) == brute_force_key(lat)
 
 
 # ---------------------------------------------------------------------------

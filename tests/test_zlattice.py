@@ -132,6 +132,19 @@ def test_permutation_canonical_key_separates():
     assert permutation_canonical_key(perm) == k2
 
 
+@pytest.mark.parametrize("rows, key", [
+    # a zero row goes first
+    (((1, 0), (0, 0), (0, 1), (-1, -1)), (0, 1, 0, -1, 0, 0, 1, -1)),
+    # two equal rows
+    (((0, 1), (2, -1), (0, 1), (-2, -1)), (1, 1, -3, 1, 0, 2, -4, 2)),
+    # -a sits between a and b: its c1 = -1 beats the sheared c1(b) >= 0
+    (((1, 0), (0, 1), (-1, 0), (0, -1)), (1, -1, 0, 0, 0, 0, 1, -1)),
+])
+def test_permutation_canonical_key_cases(rows, key):
+    for order in (rows, rows[::-1], rows[1:] + rows[:1]):
+        assert permutation_canonical_key(lattice_from_gale(order)) == key
+
+
 def test_lies_on_two_lines():
     assert lies_on_two_lines([(1, 0), (-2, 0), (0, 3), (1, 0)])
     assert lies_on_two_lines([(1, 1), (-2, -2), (0, 0)])
