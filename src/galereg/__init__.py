@@ -52,6 +52,7 @@ from .fiberhom import (
     FiberClass,
     Polygon,
     SimplicialComplex,
+    betti_horizon,
     betti_table,
     class_key,
     complex_of_supports,

@@ -36,6 +36,7 @@ from .errors import (
     PreconditionNotCMnonCI,
 )
 from .fiberhom import (
+    betti_horizon,
     degree_and_regularity,
     hilbert_degree,
     hilbert_numerator,
@@ -247,7 +248,7 @@ def cm_char0_criterion(lattice: Lattice) -> CmMaximalityReport:
         raise PreconditionNotCM("fiber-count criterion needs a Cohen-Macaulay ideal")
     n = lattice.n
     deg = hilbert_degree(lattice)
-    k_all = hilbert_numerator(lattice, deg + 5)
+    k_all = hilbert_numerator(lattice, betti_horizon(deg))
     reg = regularity_from_numerator(k_all, deg)
     # H(2) is the t^2 coefficient of K(t) / (1 - t)^n
     count = sum(k_all[k] * comb(n + 1 - k, n - 1) for k in range(3))

@@ -34,9 +34,8 @@ from .errors import (
     InternalInconsistency,
     PreconditionNotBalanced,
     PreconditionUnbalancedPair,
-    UnknownSearch,
 )
-from .fiberhom import degree_and_regularity, hilbert_degree
+from .fiberhom import betti_horizon, degree_and_regularity, hilbert_degree
 from .quadrangle import (
     enumerate_syzygy_quadrangles,
     is_cohen_macaulay,
@@ -56,7 +55,6 @@ from .reduction import (
 from .searches import (
     check_golden,
     consistency_sweep,
-    golden_payload,
     run_search,
 )
 from .zlattice import (
@@ -232,7 +230,7 @@ def cmd_analyze(args):
     if ci:
         report["quadrangles"] = []
     else:
-        quads = enumerate_syzygy_quadrangles(lattice, deg + 2)
+        quads = enumerate_syzygy_quadrangles(lattice, betti_horizon(deg))
         report["quadrangles"] = [q.to_json_dict() for q in quads]
     if saturated:
         verdict = classify_maximal(lattice, certify=args.certify)
@@ -354,12 +352,8 @@ def cmd_search(args):
         if args.check and report.mismatches:
             return doc, 3
         return doc, 0
-    if args.name not in ("table1", "cm-nonci"):
-        raise UnknownSearch(
-            f"unknown search {args.name!r}; expected table1, cm-nonci or sweep"
-        )
     report = run_search(args.name)
-    doc = {"search": args.name, **golden_payload(report), "elapsed": report.elapsed}
+    doc = {"search": args.name, **report.to_json_dict()}
     if args.check:
         ok = check_golden(args.name, report)
         doc["check"] = "ok" if ok else "mismatch"

@@ -7,13 +7,17 @@ monomials computes multigraded Betti numbers of S/I_L:
 
     beta_{i,C}(S/I_L) = rank of the (i-1)-st reduced homology of the complex.
 
-For a rank-2 lattice the degree of I_L has a closed form on the Gale
-diagram (:func:`hilbert_degree`); the regularity is read off the Betti
-table.  The oracle's horizon comes from a heuristic stopping rule
-(:func:`_resolve_rows`, its only user), and for rank 2 the degree it
-finds is checked against the closed form.  All arithmetic is exact; a
-checked int64 fast path accelerates the enumeration and falls back to
-big integers when its bound fails.
+The degree has a closed form: on the Gale diagram for a rank-2 lattice
+(:func:`hilbert_degree`), on the grading matrix for a monomial curve.
+The regularity is read off the Betti table, which the oracle computes
+through a horizon fixed in advance by a proven regularity bound:
+reg <= deg for codimension-2 lattice ideals (Peeva and Sturmfels,
+"Syzygies of codimension 2 lattice ideals", Math. Z. 1998), and
+reg <= deg - codim + 1 for monomial curves (Gruson, Lazarsfeld and
+Peskine, Invent. Math. 1983).  Every table the oracle returns is
+certified by the Betti-sum identities against the known degree.  All
+arithmetic is exact; a checked int64 fast path accelerates the
+enumeration and falls back to big integers when its bound fails.
 
 Classes are keyed through a left Smith transform U of the basis matrix:
 a and a' are congruent modulo the column lattice exactly when U*a and
@@ -33,11 +37,10 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BadInput, Degenerate, InternalInconsistency, Unbounded
-from .intlinalg import dot2, det2, mat_rank, rank_mod_p, rot90, smith_left
-from .zlattice import Lattice, is_nondegenerate
+from .intlinalg import dot2, det2, integer_kernel, mat_rank, rank_mod_p, rot90, smith_left
+from .zlattice import Lattice, is_nondegenerate, lattice_from_basis
 
 _INT64_SAFE = 1 << 62
-_HARD_HORIZON = 500
 
 
 # ---------------------------------------------------------------------------
@@ -254,99 +257,102 @@ def _entry_sort_key(e: BettiEntry):
     return (e.i, e.total_degree, e.representative)
 
 
-def _entries_at(ctx: _Ctx, d: int, top: int, field):
-    count, groups = _degree_data(ctx, d, True)
-    entries = []
-    for rows in groups:
-        rep = min(rows)
-        supports = {tuple(i for i, x in enumerate(row) if x) for row in rows}
-        h = _homology_ranks(sorted(supports), top, field)
-        for i in range(1, top + 2):
-            if h[i - 1]:
-                entries.append(BettiEntry(i, rep, d, h[i - 1]))
-    return count, entries
-
-
-def _top_dim(n: int, r: int) -> int:
-    # projective dimension of S/I_L is at most 3 in rank 2 and n-1 in general
-    return 2 if r == 2 else n - 2
-
-
-def _diff_tail(hf, m: int, window: int):
-    """Last `window` values of the m-th forward difference, or None."""
-    if len(hf) < m + window:
-        return None
-    seq = list(hf)
-    for _ in range(m):
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-    return seq[-window:]
-
-
 @lru_cache(maxsize=None)
-def _resolve_rows(rows, field=None):
-    """Degree, regularity, Betti table, and Hilbert values for a span.
-
-    Works for any column rank.  The stopping rule is a heuristic: the
-    horizon grows until the Hilbert difference is stable over a full
-    window, clears the candidate degree by 2, and no Betti entry sits
-    within 3 of it.
-    """
+def _table(rows, horizon: int, field) -> BettiTable:
+    """Betti entries of the span of the basis rows, through total degree horizon."""
     ctx = _ctx(rows)
-    n, r = ctx.n, ctx.r
-    m = n - r - 1
-    top = _top_dim(n, r)
-    hf = []
+    # projective dimension of S/I_L is at most 3 in rank 2 and n-1 in general
+    top = 2 if ctx.r == 2 else ctx.n - 2
     entries = []
-    d = 0
-    while True:
-        count, es = _entries_at(ctx, d, top, field)
-        hf.append(count)
-        entries.extend(es)
-        tail = _diff_tail(hf, m, n)
-        if tail is not None and len(set(tail)) == 1 and tail[0] >= 1:
-            cand = tail[0]
-            max_total = max((e.total_degree for e in entries), default=0)
-            if d >= cand + 2 and max_total <= d - 3:
-                deg = cand
-                break
-        if d > _HARD_HORIZON:
-            raise InternalInconsistency("Hilbert function failed to stabilize")
-        d += 1
-    if not entries:
-        raise InternalInconsistency("no Betti entries found for a nonzero ideal")
-    reg = max(e.total_degree - e.i for e in entries) + 1
-    table = BettiTable(tuple(sorted(entries, key=_entry_sort_key)), horizon=d)
-    return deg, reg, table, tuple(hf)
+    for d in range(horizon + 1):
+        for fiber in _degree_data(ctx, d, True)[1]:
+            supports = {tuple(i for i, x in enumerate(a) if x) for a in fiber}
+            h = _homology_ranks(sorted(supports), top, field)
+            entries.extend(BettiEntry(i, min(fiber), d, h[i - 1])
+                           for i in range(1, top + 2) if h[i - 1])
+    return BettiTable(tuple(sorted(entries, key=_entry_sort_key)), horizon=horizon)
+
+
+def betti_horizon(deg: int) -> int:
+    """Largest total degree of a Betti entry of S/I_L, for I_L of degree deg.
+
+    Holds for every rank-2 lattice L.  Its ideal has codimension 2, so
+    reg I_L <= deg (Peeva and Sturmfels, "Syzygies of codimension 2
+    lattice ideals", Math. Z. 1998), and S/I_L has projective dimension
+    at most 3, so an entry in homological position i <= 3 has total
+    degree at most reg - 1 + i <= deg + 2.  The homology oracle
+    enumerates through this degree, a syzygy quadrangle (a third
+    syzygy) never lies beyond it, and the Hilbert series numerator
+    1 + sum (-1)^i beta_{i,t} t^t has no nonzero coefficient past it.
+    """
+    return deg + 2
+
+
+def _certified(rows, deg: int, horizon: int, field):
+    """(deg, reg, BettiTable) through the horizon, checked against deg.
+
+    The numerator K(t) = 1 + sum (-1)^i beta_{i,t} t^t of the Hilbert
+    series equals (1 - t)^codim h(t) with h(1) = deg, so its moments
+    sum_t K_t binom(t, k) vanish for k < codim and equal
+    (-1)^codim deg for k = codim.  A table that misses an entry, or a
+    wrong degree, breaks these identities; InternalInconsistency then.
+    """
+    table = _table(rows, horizon, field)
+    codim = len(rows[0])
+    k_poly = {0: 1}
+    for e in table.entries:
+        k_poly[e.total_degree] = k_poly.get(e.total_degree, 0) + (-1) ** e.i * e.rank
+    moments = tuple(sum(c * math.comb(t, k) for t, c in k_poly.items())
+                    for k in range(codim + 1))
+    expected = (0,) * codim + ((-1) ** codim * deg,)
+    if moments != expected:
+        raise InternalInconsistency(
+            f"Betti sums {moments} through total degree {horizon}, expected {expected}"
+        )
+    reg = max(e.total_degree - e.i for e in table.entries) + 1
+    return deg, reg, table
 
 
 def degree_and_regularity_of_span(columns, field=None):
     """(degree, regularity, BettiTable) for the span of integer columns.
 
     The columns must be linearly independent and orthogonal to the
-    all-ones vector; any rank is accepted.  This is the raw engine
-    behind :func:`degree_and_regularity`.
+    all-ones vector.  Two columns span a rank-2 lattice, handled by
+    :func:`degree_and_regularity`.  n - 2 columns spanning a saturated
+    lattice give the ideal of a monomial curve: its degree is the
+    largest |2 x 2 minor| of the orthogonal complement, and since
+    reg <= deg - codim + 1 (Gruson, Lazarsfeld and Peskine, Invent.
+    Math. 1983) and the projective dimension of S/I is at most
+    n - 1 = codim + 1, every Betti entry has total degree at most
+    deg + 1.  Any other rank, or a non-saturated span, raises BadInput.
     """
-    rows = tuple(tuple(int(c[i]) for c in columns) for i in range(len(columns[0])))
-    deg, reg, table, _ = _resolve_rows(rows, field)
-    return deg, reg, table
+    columns = [tuple(int(x) for x in c) for c in columns]
+    n = len(columns[0])
+    if len(columns) == 2:
+        return degree_and_regularity(lattice_from_basis(columns), field)
+    rows = tuple(zip(*columns))
+    if len(columns) != n - 2 or any(m != 1 for m in _ctx(rows).mods):
+        raise BadInput("supported spans: rank 2, or saturated of rank n - 2")
+    grades = list(zip(*integer_kernel(columns, n)))
+    if len(set(grades)) < n:
+        raise Degenerate("two coordinates coincide on the orthogonal complement")
+    deg = max(abs(det2(a, b)) for a, b in combinations(grades, 2))
+    return _certified(rows, deg, deg + 1, field)
 
 
 def degree_and_regularity(lattice: Lattice, field=None):
     """Exact (degree, regularity, BettiTable) of the lattice ideal.
 
-    Requires a nondegenerate lattice.  Verifies that the degree where
-    the Hilbert difference stabilized equals :func:`hilbert_degree` and
-    that regularity <= degree, which holds for every codimension-2
-    lattice ideal, and raises InternalInconsistency otherwise.
+    Requires a nondegenerate lattice.  The degree is
+    :func:`hilbert_degree`; the table runs through
+    :func:`betti_horizon` and is certified by the Betti-sum identities,
+    and regularity <= degree is checked; InternalInconsistency when
+    either fails.
     """
     if not is_nondegenerate(lattice):
         raise Degenerate("some x_i - x_j lies in the ideal")
-    deg, reg, table, _ = _resolve_rows(lattice.rows, field)
-    gale_deg = hilbert_degree(lattice)
-    if deg != gale_deg:
-        raise InternalInconsistency(
-            f"Hilbert-difference degree {deg} != Gale-diagram degree {gale_deg}"
-        )
+    deg = hilbert_degree(lattice)
+    _, reg, table = _certified(lattice.rows, deg, betti_horizon(deg), field)
     if reg > deg:
         raise InternalInconsistency(f"regularity {reg} exceeds degree {deg}")
     return deg, reg, table
@@ -356,12 +362,7 @@ def betti_table(lattice: Lattice, horizon: int, field=None) -> BettiTable:
     """Betti entries of S/I_L for all classes of total degree <= horizon."""
     if horizon < 2:
         raise BadInput("horizon must be at least 2")
-    ctx = _ctx(lattice.rows)
-    entries = []
-    for d in range(horizon + 1):
-        _, es = _entries_at(ctx, d, _top_dim(ctx.n, ctx.r), field)
-        entries.extend(es)
-    return BettiTable(tuple(sorted(entries, key=_entry_sort_key)), horizon=horizon)
+    return _table(lattice.rows, horizon, field)
 
 
 def hilbert_function(lattice: Lattice, d: int) -> int:
@@ -405,16 +406,18 @@ def reg_deg_via_hilbert(lattice: Lattice):
     Cheap, exact, and homology-free.
     """
     deg = hilbert_degree(lattice)
-    return regularity_from_numerator(hilbert_numerator(lattice, deg + 5), deg), deg
+    return regularity_from_numerator(hilbert_numerator(lattice, betti_horizon(deg)), deg), deg
 
 
 def regularity_from_numerator(numer, deg: int) -> int:
     """Regularity of a Cohen-Macaulay S/I_L from its Hilbert numerator.
 
-    ``numer`` must run through degree deg + 2 or beyond; its last
-    nonzero coefficient sits in degree reg + 1 <= deg + 1.
+    ``numer`` must run through degree :func:`betti_horizon` (deg + 2);
+    no coefficient beyond it is nonzero.  With projective dimension 2
+    the last nonzero coefficient sits in degree reg + 1 <= deg + 1, so a
+    nonzero coefficient at deg + 2 shows the ideal is not Cohen-Macaulay.
     """
-    if any(numer[deg + 2:]):
+    if any(numer[betti_horizon(deg):]):
         raise InternalInconsistency("Hilbert numerator does not terminate; not Cohen-Macaulay?")
     return max(k for k, c in enumerate(numer) if c) - 1
 

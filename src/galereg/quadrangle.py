@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import ceil, floor
 
 from .errors import PreconditionCI, PreconditionCM
-from .fiberhom import FiberClass, fiber_of, hilbert_degree, reg_deg_via_hilbert
+from .fiberhom import FiberClass, betti_horizon, fiber_of, hilbert_degree, reg_deg_via_hilbert
 from .intlinalg import det2, dot2, primitive_part, rot90, xgcd
 from .zlattice import GaleDiagram, Lattice
 
@@ -202,26 +202,17 @@ def enumerate_syzygy_quadrangles(lattice: Lattice, bound: int):
     return out
 
 
-def _cm_search_bound(lattice: Lattice) -> int:
-    """Horizon deg + 2, with deg exact from the Gale diagram.
-
-    A quadrangle has total degree at most reg + 2 <= deg + 2, so a scan
-    up to this bound finds every quadrangle.
-    """
-    return hilbert_degree(lattice) + 2
-
-
 def is_cohen_macaulay(lattice: Lattice) -> bool:
     """Whether the lattice ideal is Cohen-Macaulay.
 
     Complete intersections always are; otherwise the ideal is
-    Cohen-Macaulay exactly when it has no syzygy quadrangle, and any
-    quadrangle has total degree at most reg + 2 <= deg + 2, so the
+    Cohen-Macaulay exactly when it has no syzygy quadrangle, and no
+    quadrangle lies beyond :func:`~.fiberhom.betti_horizon`, so the
     bounded scan is conclusive.
     """
     if is_complete_intersection(lattice):
         return True
-    return not _quadrangle_pairs(lattice.rows, _cm_search_bound(lattice))
+    return not _quadrangle_pairs(lattice.rows, betti_horizon(hilbert_degree(lattice)))
 
 
 def regularity_fast(lattice: Lattice) -> int:
@@ -233,7 +224,7 @@ def regularity_fast(lattice: Lattice) -> int:
     projective dimension is at most 2.
     """
     if not is_complete_intersection(lattice):
-        quads = _quadrangle_pairs(lattice.rows, _cm_search_bound(lattice))
+        quads = _quadrangle_pairs(lattice.rows, betti_horizon(hilbert_degree(lattice)))
         if quads:
             return quads[-1][0] - 2
     return reg_deg_via_hilbert(lattice)[0]
@@ -255,7 +246,7 @@ def normalize_unit_square(lattice: Lattice):
     """
     if is_cohen_macaulay(lattice):
         raise PreconditionCM("normalization requires a non-Cohen-Macaulay ideal")
-    pairs = _quadrangle_pairs(lattice.rows, _cm_search_bound(lattice))
+    pairs = _quadrangle_pairs(lattice.rows, betti_horizon(hilbert_degree(lattice)))
     max_total = pairs[-1][0]
     attaining = sorted(p for t, p in pairs if t == max_total)
     unit = _canonical_pair((1, 0), (0, 1))

@@ -29,7 +29,6 @@ import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -84,9 +83,7 @@ class SearchReport:
             raise InternalInconsistency("search report counts disagree with entries")
 
     def to_json_dict(self) -> dict:
-        payload = _report_payload(self, {})
-        payload["elapsed"] = self.elapsed
-        return payload
+        return {**golden_payload(self), "elapsed": self.elapsed}
 
 
 @dataclass(frozen=True)
@@ -376,7 +373,7 @@ def _printed_rows_by_key():
     return out
 
 
-def _report_payload(report: SearchReport, printed=None) -> dict:
+def golden_payload(report: SearchReport) -> dict:
     """JSON payload of a search report, stable across reruns.
 
     Survivor classes whose key matches an embedded table entry are
@@ -384,7 +381,7 @@ def _report_payload(report: SearchReport, printed=None) -> dict:
     record reproduces it byte for byte; an unexpected class shows its
     own rows and makes the comparison fail honestly.
     """
-    printed = _printed_rows_by_key() if printed is None else printed
+    printed = _printed_rows_by_key()
     entries = []
     for lat, key in zip(report.found, report.keys):
         rows = printed.get(key, lat.rows)
@@ -406,10 +403,14 @@ def _report_payload(report: SearchReport, printed=None) -> dict:
 GOLDEN_NAMES = {"table1": "table1.json", "cm-nonci": "cm_nonci.json"}
 
 
-def _golden_resource(name: str):
+def _golden_path(name: str) -> Path:
     if name not in GOLDEN_NAMES:
         raise UnknownSearch(f"no golden record for {name!r}")
-    return resources.files("galereg").joinpath("data", GOLDEN_NAMES[name])
+    return Path(__file__).resolve().parent / "data" / GOLDEN_NAMES[name]
+
+
+def _golden_text(report: SearchReport) -> str:
+    return json.dumps(golden_payload(report), indent=2, sort_keys=True) + "\n"
 
 
 def run_search(name: str, **kwargs) -> SearchReport:
@@ -420,22 +421,15 @@ def run_search(name: str, **kwargs) -> SearchReport:
     raise UnknownSearch(f"unknown search {name!r}; expected table1, cm-nonci or sweep")
 
 
-def golden_payload(report: SearchReport) -> dict:
-    return _report_payload(report)
-
-
 def load_golden(name: str) -> dict:
-    return json.loads(_golden_resource(name).read_text())
+    return json.loads(_golden_path(name).read_text())
 
 
 def write_golden(name: str, report: SearchReport) -> None:
-    if name not in GOLDEN_NAMES:
-        raise UnknownSearch(f"no golden record for {name!r}")
-    path = Path(__file__).resolve().parent / "data" / GOLDEN_NAMES[name]
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(golden_payload(report), indent=2, sort_keys=True) + "\n")
+    """Overwrite the golden record with the text :func:`check_golden` expects."""
+    _golden_path(name).write_text(_golden_text(report))
 
 
 def check_golden(name: str, report: SearchReport) -> bool:
-    """True when a fresh report matches the committed golden record."""
-    return load_golden(name) == golden_payload(report)
+    """True when a fresh report renders byte for byte as the committed record."""
+    return _golden_path(name).read_text() == _golden_text(report)

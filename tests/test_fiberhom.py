@@ -155,9 +155,29 @@ def test_degree_and_regularity_rejects_degenerate():
 
 
 def test_oracle_degree_checked_against_gale_degree(monkeypatch):
-    monkeypatch.setattr(fiberhom, "hilbert_degree", lambda lattice: 99)
-    with pytest.raises(InternalInconsistency):
-        degree_and_regularity(TWISTED_CUBIC)
+    for wrong in (2, 4):  # the twisted cubic has degree 3
+        monkeypatch.setattr(fiberhom, "hilbert_degree", lambda lattice: wrong)
+        with pytest.raises(InternalInconsistency):
+            degree_and_regularity(TWISTED_CUBIC)
+
+
+# deg 3 = reg 3, with two third syzygies at total degree 5 = deg + 2
+REG_EQ_DEG = lattice_from_gale([(1, 1), (1, -2), (-1, -1), (-1, 2)])
+
+
+def test_oracle_reaches_the_proven_horizon():
+    deg, reg, table = degree_and_regularity(REG_EQ_DEG)
+    assert (deg, reg) == (3, 3)
+    assert table.horizon == fiberhom.betti_horizon(deg) == 5
+    top = [e for e in table.entries if e.total_degree == 5]
+    assert [(e.i, e.rank) for e in top] == [(3, 1), (3, 1)]
+
+
+def test_betti_sums_reject_a_truncated_table():
+    # the moments sum_t K_t binom(t, k), k = 0, 1, 2, miss the two
+    # third syzygies at total degree 5
+    with pytest.raises(InternalInconsistency, match=r"\(2, 10, 23\).*\(0, 0, 3\)"):
+        fiberhom._certified(REG_EQ_DEG.rows, 3, 4, None)
 
 
 def test_reg_deg_via_hilbert_and_degree():
@@ -212,6 +232,24 @@ def test_span_oracle_monomial_curve_n4():
     cols = curve_lattice_columns((0, 1, 4, 5))
     deg, reg, _ = degree_and_regularity_of_span(cols)
     assert (deg, reg) == (5, 4)
+
+
+@pytest.mark.parametrize("exponents", [(0, 1, 3), (0, 2, 5), (0, 1, 2, 5, 7), (0, 2, 3, 7, 9)])
+def test_curve_horizon_misses_nothing(exponents):
+    cols = curve_lattice_columns(exponents)
+    deg, _, table = degree_and_regularity_of_span(cols)
+    assert table.horizon == deg + 1
+    wider = fiberhom._table(tuple(zip(*cols)), deg + 3, None)
+    assert wider.entries == table.entries
+
+
+def test_span_oracle_rejects_unsupported_spans():
+    rank3_n6 = [(1, -1, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0), (0, 0, 0, 0, 1, -1)]
+    with pytest.raises(BadInput):
+        degree_and_regularity_of_span(rank3_n6)
+    c1, c2, c3 = curve_lattice_columns((0, 1, 2, 3, 5))
+    with pytest.raises(BadInput):
+        degree_and_regularity_of_span([tuple(2 * x for x in c1), c2, c3])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from galereg.errors import GaleregError, NotAllQuadrants, PreconditionNotBalanced
 from galereg.fiberhom import (
+    betti_table,
     degree_and_regularity,
     hilbert_degree,
     hilbert_function,
@@ -248,6 +249,19 @@ def test_gale_degree_is_hilbert_polynomial_degree(rows, zero_row):
     for _ in range(n - 3):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
     assert diffs == [deg]
+
+
+@settings(deadline=None, max_examples=50)
+@given(gale_rows(max_n=4), st.booleans())
+def test_oracle_horizon_is_complete(rows, zero_row):
+    """Two degrees past the proven horizon hold no further Betti entry."""
+    if zero_row:
+        rows = rows + ((0, 0),)
+    lat = lattice_from_gale(rows)
+    assume(is_nondegenerate(lat))
+    assume(zero_row or not is_saturated(lat))
+    deg, _, table = degree_and_regularity(lat)
+    assert table.entries == betti_table(lat, deg + 4).entries
 
 
 # ---------------------------------------------------------------------------

@@ -123,14 +123,23 @@ def test_golden_record_round_trip():
         assert set(entry) == {"gale", "key", "n", "saturated"}
 
 
-def test_golden_check_fails_on_drift(monkeypatch):
+def test_golden_check_fails_on_drift(monkeypatch, tmp_path):
     import galereg.searches as searches
 
     report = search_cm_nonci()
-    tampered = golden_payload(report)
-    tampered["saturated_count"] += 1
-    monkeypatch.setattr(searches, "load_golden", lambda name: tampered)
-    assert not searches.check_golden("cm-nonci", report)
+    committed = searches._golden_path("cm-nonci").read_text()
+    path = tmp_path / "cm_nonci.json"
+    monkeypatch.setattr(searches, "_golden_path", lambda name: path)
+    searches.write_golden("cm-nonci", report)
+    assert path.read_text() == committed
+    # the same JSON value in other bytes is drift too
+    path.write_text(committed.rstrip("\n"))
+    assert load_golden("cm-nonci") == golden_payload(report)
+    assert not check_golden("cm-nonci", report)
+    tampered = committed.replace('"saturated_count": 3', '"saturated_count": 4')
+    assert tampered != committed
+    path.write_text(tampered)
+    assert not check_golden("cm-nonci", report)
 
 
 def test_run_search_dispatch():
