@@ -317,7 +317,7 @@ def degree_and_regularity_of_span(columns, field=None):
     """(degree, regularity, BettiTable) for the span of integer columns.
 
     The columns must be linearly independent and orthogonal to the
-    all-ones vector.  Two columns span a rank-2 lattice, handled by
+    all-ones vector.  Two columns span a rank-2 lattice, handled as in
     :func:`degree_and_regularity`.  n - 2 columns spanning a saturated
     lattice give the ideal of a monomial curve: its degree is the
     largest |2 x 2 minor| of the orthogonal complement, and since
@@ -329,9 +329,10 @@ def degree_and_regularity_of_span(columns, field=None):
     columns = [tuple(int(x) for x in c) for c in columns]
     n = len(columns[0])
     if len(columns) == 2:
-        return degree_and_regularity(lattice_from_basis(columns), field)
+        return _lattice_oracle(lattice_from_basis(columns), field)
     rows = tuple(zip(*columns))
-    if len(columns) != n - 2 or any(m != 1 for m in _ctx(rows).mods):
+    if (len(columns) != n - 2 or mat_rank(columns) < n - 2
+            or any(m != 1 for m in _ctx(rows).mods)):
         raise BadInput("supported spans: rank 2, or saturated of rank n - 2")
     grades = list(zip(*integer_kernel(columns, n)))
     if len(set(grades)) < n:
@@ -349,6 +350,11 @@ def degree_and_regularity(lattice: Lattice, field=None):
     and regularity <= degree is checked; InternalInconsistency when
     either fails.
     """
+    return _lattice_oracle(lattice, field)
+
+
+def _lattice_oracle(lattice: Lattice, field):
+    # the rank-2 oracle, shared by both entry points so neither calls the other
     if not is_nondegenerate(lattice):
         raise Degenerate("some x_i - x_j lies in the ideal")
     deg = hilbert_degree(lattice)

@@ -250,6 +250,8 @@ def test_span_oracle_rejects_unsupported_spans():
     c1, c2, c3 = curve_lattice_columns((0, 1, 2, 3, 5))
     with pytest.raises(BadInput):
         degree_and_regularity_of_span([tuple(2 * x for x in c1), c2, c3])
+    with pytest.raises(BadInput):
+        degree_and_regularity_of_span([c1, c2, tuple(a + b for a, b in zip(c1, c2))])
 
 
 # ---------------------------------------------------------------------------
