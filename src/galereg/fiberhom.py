@@ -36,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BadInput, Degenerate, InternalInconsistency, Unbounded
+from .errors import BadInput, Degenerate, InternalInconsistency, NotHomogeneous, Unbounded
 from .intlinalg import dot2, det2, integer_kernel, mat_rank, rank_mod_p, rot90, smith_left
 from .zlattice import Lattice, is_nondegenerate, lattice_from_basis
 
@@ -324,7 +324,8 @@ def degree_and_regularity_of_span(columns, field=None):
     reg <= deg - codim + 1 (Gruson, Lazarsfeld and Peskine, Invent.
     Math. 1983) and the projective dimension of S/I is at most
     n - 1 = codim + 1, every Betti entry has total degree at most
-    deg + 1.  Any other rank, or a non-saturated span, raises BadInput.
+    deg + 1.  Any other rank, or a non-saturated span, raises BadInput;
+    columns not orthogonal to the all-ones vector raise NotHomogeneous.
     """
     columns = [tuple(int(x) for x in c) for c in columns]
     n = len(columns[0])
@@ -334,6 +335,8 @@ def degree_and_regularity_of_span(columns, field=None):
     if (len(columns) != n - 2 or mat_rank(columns) < n - 2
             or any(m != 1 for m in _ctx(rows).mods)):
         raise BadInput("supported spans: rank 2, or saturated of rank n - 2")
+    if any(sum(c) for c in columns):
+        raise NotHomogeneous("the span is not orthogonal to the all-ones vector")
     grades = list(zip(*integer_kernel(columns, n)))
     if len(set(grades)) < n:
         raise Degenerate("two coordinates coincide on the orthogonal complement")

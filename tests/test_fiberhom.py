@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 import galereg.fiberhom as fiberhom
-from galereg.errors import BadInput, Degenerate, InternalInconsistency
+from galereg.errors import BadInput, Degenerate, InternalInconsistency, NotHomogeneous
 from galereg.fiberhom import (
     BettiTable,
     betti_table,
@@ -252,6 +252,8 @@ def test_span_oracle_rejects_unsupported_spans():
         degree_and_regularity_of_span([tuple(2 * x for x in c1), c2, c3])
     with pytest.raises(BadInput):
         degree_and_regularity_of_span([c1, c2, tuple(a + b for a, b in zip(c1, c2))])
+    with pytest.raises(NotHomogeneous):
+        degree_and_regularity_of_span([(1, -2, 1, 0, 0), (2, -3, 0, 1, 0), (4, -4, 0, 0, 1)])
 
 
 # ---------------------------------------------------------------------------
