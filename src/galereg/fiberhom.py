@@ -22,8 +22,20 @@ enumeration and falls back to big integers when its bound fails.
 Classes are keyed through a left Smith transform U of the basis matrix:
 a and a' are congruent modulo the column lattice exactly when U*a and
 U*a' agree modulo the diagonal entries in the first rank coordinates
-and exactly elsewhere.  Cone classes (where some variable divides the
-whole fiber) are contractible and are pruned before any homology runs.
+and exactly elsewhere.  In degree d those coordinates pack into one
+int64 per monomial by mixed radix: a torsion coordinate with modulus
+m > 1 is a digit of radix m, and a free coordinate u_k . a, which lies
+in [d min(u_k, 0), d max(u_k, 0)], a digit of radix
+d (max(u_k, 0) - min(u_k, 0)) + 1; the free digits fold into one weight
+vector, so the key is one mat-vec plus one per torsion coordinate, and
+one stable argsort groups the classes.  An exact bound in Python ints
+covers the key and every partial sum of those mat-vecs; above it, the
+classes are keyed with big integers instead.  Cone classes (where some
+variable divides the whole fiber) are contractible: OR-ing each
+monomial's bitmask of zero coordinates over its class finds them, and
+they are pruned before any homology runs.  The homology of each
+surviving fiber is memoized on its support sets as vertex bitmasks,
+with the homological top and the field.
 """
 
 from __future__ import annotations
@@ -48,9 +60,14 @@ _INT64_SAFE = 1 << 62
 
 
 class _Ctx:
-    """Per-lattice data for keying residue classes of Z^n modulo the span."""
+    """Per-lattice data for keying residue classes of Z^n modulo the span.
 
-    __slots__ = ("rows", "n", "r", "u", "mods", "u_np", "row_abs")
+    ``torsion`` holds the rows of U whose coordinate is read modulo a
+    diagonal entry m > 1, as (row, m); ``free`` the rows read exactly,
+    as (row, span) with span = max(row, 0) - min(row, 0).
+    """
+
+    __slots__ = ("rows", "n", "r", "u", "mods", "torsion", "free")
 
     def __init__(self, rows):
         self.rows = rows
@@ -61,8 +78,8 @@ class _Ctx:
             raise InternalInconsistency("basis matrix does not have full column rank")
         self.u = u
         self.mods = diag
-        self.u_np = np.array(u, dtype=np.int64)
-        self.row_abs = max(sum(abs(x) for x in row) for row in u)
+        self.torsion = tuple((u[k], m) for k, m in enumerate(diag) if m > 1)
+        self.free = tuple((row, max(max(row), 0) - min(min(row), 0)) for row in u[self.r:])
 
     def key(self, a):
         w = [sum(u_i[j] * a[j] for j in range(self.n)) for u_i in self.u]
@@ -71,7 +88,7 @@ class _Ctx:
         return tuple(w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _ctx(rows) -> _Ctx:
     return _Ctx(rows)
 
@@ -101,6 +118,38 @@ def _py_compositions(n, d):
             yield (first,) + rest
 
 
+def _packing(ctx: _Ctx, d: int):
+    """Mixed-radix packing of the class key in degree d.
+
+    Returns (weights, digits, bound).  The torsion digits come first:
+    (row . a mod m) * place for each (row, m, place) in ``digits``.  Each
+    free coordinate row . a lies in [d min(row, 0), d max(row, 0)], so
+    it gets radix d * span + 1, and all of them fold into one weight
+    vector.  key(a) = weights . a + sum of the torsion digits is then one
+    mixed-radix number shifted by a constant, so it is injective on the
+    classes of degree d.  Every partial sum of a mat-vec over a of degree
+    d is at most d * max |weight| (resp. d * max |row|) in absolute
+    value, and the torsion digits add less than the product of all
+    radices; ``bound`` covers both, every int64 conversion and the
+    n-bit zero masks of the cone prune.
+    """
+    e = max(d, 1)
+    place = 1
+    digits = []
+    row_bound = 0
+    for row, m in ctx.torsion:
+        digits.append((row, m, place))
+        place *= m
+        row_bound = max(row_bound, e * max(map(abs, row)))
+    weights = [0] * ctx.n
+    for row, span in ctx.free:
+        for j, x in enumerate(row):
+            weights[j] += place * x
+        place *= d * span + 1
+    bound = max(row_bound, e * max(map(abs, weights)) + place, 1 << ctx.n)
+    return weights, digits, bound
+
+
 def _degree_data(ctx: _Ctx, d: int, want_groups: bool):
     """Fiber classes of total degree d.
 
@@ -108,31 +157,31 @@ def _degree_data(ctx: _Ctx, d: int, want_groups: bool):
     requested, the list of fibers that survive the cone prune, each as
     a list of exponent tuples.
     """
-    if (d + 1) * ctx.row_abs < _INT64_SAFE:
+    weights, digits, bound = _packing(ctx, d)
+    if bound < _INT64_SAFE:
         exps = _compositions(ctx.n, d)
-        keys = exps @ ctx.u_np.T
-        if ctx.mods:
-            keys = keys.copy()
-            for k in range(ctx.r):
-                keys[:, k] %= ctx.mods[k]
-        order = np.lexsort(keys.T)
-        sorted_keys = keys[order]
-        change = np.empty(len(sorted_keys), dtype=bool)
+        key = exps @ np.array(weights, dtype=np.int64)
+        for row, m, place in digits:
+            key += (exps @ np.array(row, dtype=np.int64)) % m * place
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        change = np.empty(len(sorted_key), dtype=bool)
         change[0] = True
-        if len(sorted_keys) > 1:
-            np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1, out=change[1:])
+        np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
         starts = np.flatnonzero(change)
         count = len(starts)
         if not want_groups or d == 0:
             return count, []
-        sorted_exps = exps[order]
-        mins = np.minimum.reduceat(sorted_exps, starts, axis=0)
-        live = np.flatnonzero(~mins.any(axis=1))
-        ends = np.append(starts[1:], len(sorted_keys))
+        # a class is a cone unless every variable is missing from some member
+        zero = (exps == 0) @ (1 << np.arange(ctx.n, dtype=np.int64))
+        live = np.bitwise_or.reduceat(zero[order], starts) == (1 << ctx.n) - 1
+        sizes = np.diff(np.append(starts, len(order)))
+        members = exps[order[np.repeat(live, sizes)]].tolist()
         groups = []
-        for g in live:
-            block = sorted_exps[starts[g]:ends[g]]
-            groups.append([tuple(int(x) for x in row) for row in block])
+        pos = 0
+        for size in sizes[live].tolist():
+            groups.append([tuple(a) for a in members[pos:pos + size]])
+            pos += size
         return count, groups
     # big-integer fallback
     buckets = {}
@@ -257,7 +306,18 @@ def _entry_sort_key(e: BettiEntry):
     return (e.i, e.total_degree, e.representative)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
+def _support_homology(masks, top: int, field):
+    """:func:`_homology_ranks` of the supports given as vertex bitmasks.
+
+    Keyed on (sorted masks, top, field): about half of the homology
+    calls of an oracle pass repeat a support set met before.
+    """
+    facets = [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks]
+    return _homology_ranks(facets, top, field)
+
+
+@lru_cache(maxsize=1024)
 def _table(rows, horizon: int, field) -> BettiTable:
     """Betti entries of the span of the basis rows, through total degree horizon."""
     ctx = _ctx(rows)
@@ -266,8 +326,8 @@ def _table(rows, horizon: int, field) -> BettiTable:
     entries = []
     for d in range(horizon + 1):
         for fiber in _degree_data(ctx, d, True)[1]:
-            supports = {tuple(i for i, x in enumerate(a) if x) for a in fiber}
-            h = _homology_ranks(sorted(supports), top, field)
+            masks = {sum(1 << i for i, x in enumerate(a) if x) for a in fiber}
+            h = _support_homology(tuple(sorted(masks)), top, field)
             entries.extend(BettiEntry(i, min(fiber), d, h[i - 1])
                            for i in range(1, top + 2) if h[i - 1])
     return BettiTable(tuple(sorted(entries, key=_entry_sort_key)), horizon=horizon)

@@ -83,7 +83,7 @@ def _imbalancing_shear_exists(rows, v) -> bool:
     return floor(hi) >= ceil(lo)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _is_ci_rows(rows) -> bool:
     dirs = set()
     for b in rows:
@@ -123,7 +123,7 @@ def _canonical_pair(v, w):
     return best
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _quadrangle_pairs(rows, bound: int):
     """All syzygy quadrangle classes of total degree <= bound.
 

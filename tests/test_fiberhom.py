@@ -98,6 +98,20 @@ def test_big_integer_fallback_matches_numpy(lat, monkeypatch):
         assert sorted(map(sorted, slow_groups)) == sorted(map(sorted, groups))
 
 
+# the 6-vertex real projective plane: acyclic over Q, not over GF(2)
+RP2_FACETS = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+              (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5))
+
+
+@pytest.mark.parametrize("fields", [(None, 2), (2, None)])
+def test_homology_memo_keys_on_the_field(fields):
+    masks = tuple(sorted(sum(1 << v for v in f) for f in RP2_FACETS))
+    expected = {None: (0, 0, 0), 2: (0, 1, 1)}
+    fiberhom._support_homology.cache_clear()
+    for field in fields:
+        assert fiberhom._support_homology(masks, 2, field) == expected[field]
+
+
 def test_hilbert_function_negative_degree():
     assert hilbert_function(TWISTED_CUBIC, -1) == 0
 

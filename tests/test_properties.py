@@ -1,9 +1,11 @@
 """Property-based invariants: equivalence, transforms, Hilbert counts."""
 
 from itertools import combinations_with_replacement, permutations
+from unittest import mock
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+import galereg.fiberhom as fiberhom
 from galereg.errors import GaleregError, NotAllQuadrants, PreconditionNotBalanced
 from galereg.fiberhom import (
     betti_table,
@@ -220,6 +222,46 @@ def naive_hilbert(lattice, d):
 def test_hilbert_function_matches_naive_count(rows, d):
     lat = lattice_from_gale(rows)
     assert hilbert_function(lat, d) == naive_hilbert(lat, d)
+
+
+@st.composite
+def packed_key_rows(draw):
+    """Gale diagrams with n <= 6 and coordinates <= 3.
+
+    Some rows are zero, and the first coordinate of every row is scaled
+    by k in {1, 2, 3}, so many draws are not saturated (a torsion
+    coordinate with modulus > 1 in the class key).
+    """
+    n = draw(st.integers(min_value=3, max_value=6))
+    k = draw(st.sampled_from((1, 2, 3)))
+    xs = st.integers(min_value=-(3 // k), max_value=3 // k)
+    ys = st.integers(min_value=-3, max_value=3)
+    head = [(0, 0) if draw(st.integers(0, 3)) == 0 else (k * draw(xs), draw(ys))
+            for _ in range(n - 1)]
+    last = (-sum(v[0] for v in head), -sum(v[1] for v in head))
+    assume(max(abs(last[0]), abs(last[1])) <= 3)
+    rows = tuple(head + [last])
+    try:
+        lattice_from_gale(rows)
+    except GaleregError:
+        assume(False)
+    return rows
+
+
+@settings(deadline=None, max_examples=80)
+@given(packed_key_rows(), st.integers(min_value=0, max_value=6))
+@example(((0, 2), (2, 0), (0, -2), (-2, 0)), 4)
+@example(((2, 1), (0, 0), (-2, 1), (2, -1), (0, 0), (-2, -1)), 6)
+@example(((0, 0), (0, 0), (0, 0), (1, 0), (0, 1), (-1, -1)), 1)
+def test_packed_class_key_matches_big_integers(rows, d):
+    """The int64 mixed-radix key groups monomials as the exact key does."""
+    ctx = fiberhom._ctx(rows)
+    assert fiberhom._packing(ctx, d)[2] < fiberhom._INT64_SAFE
+    count, groups = fiberhom._degree_data(ctx, d, True)
+    with mock.patch.object(fiberhom, "_INT64_SAFE", 0):
+        slow_count, slow_groups = fiberhom._degree_data(ctx, d, True)
+    assert count == slow_count
+    assert sorted(map(sorted, groups)) == sorted(map(sorted, slow_groups))
 
 
 @settings(deadline=None, max_examples=25)
