@@ -51,11 +51,8 @@ from .fiberhom import (
     BettiTable,
     FiberClass,
     Polygon,
-    SimplicialComplex,
     betti_horizon,
     betti_table,
-    class_key,
-    complex_of_supports,
     degree_and_regularity,
     degree_and_regularity_of_span,
     fiber_of,
@@ -63,7 +60,6 @@ from .fiberhom import (
     hilbert_function,
     hilbert_numerator,
     polygon_of,
-    reduced_homology_ranks,
     reg_deg_via_hilbert,
     regularity_from_numerator,
 )

@@ -77,6 +77,10 @@ def _parse_matrix(text: str, what: str):
     return _check_matrix(data, what)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_matrix(data, what: str):
     if not isinstance(data, list) or not data or not all(
         isinstance(row, list) and row for row in data
@@ -84,7 +88,7 @@ def _check_matrix(data, what: str):
         raise BadInput(f"{what} must be a non-empty list of non-empty lists")
     for row in data:
         for x in row:
-            if isinstance(x, bool) or not isinstance(x, int):
+            if not _is_int(x):
                 raise BadInput(f"{what} entries must be integers, got {x!r}")
     if len({len(row) for row in data}) != 1:
         raise BadInput(f"{what} rows must all have the same length")
@@ -97,7 +101,7 @@ def _load_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise BadInput(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadInput(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise BadInput(f"{path} must hold a JSON object")
@@ -291,9 +295,11 @@ def cmd_reduce(args):
     deg_l, reg_l, _ = degree_and_regularity(lattice)
     if "partition" in payload:
         part = payload["partition"]
-        if not isinstance(part, list) or len(part) != 4:
-            raise BadInput('file key "partition" must be a list of four index lists')
-        partitions = [tuple(tuple(int(i) for i in cls) for cls in part)]
+        if not isinstance(part, list) or len(part) != 4 or not all(
+            isinstance(cls, list) and all(map(_is_int, cls)) for cls in part
+        ):
+            raise BadInput('file key "partition" must be a list of four lists of integers')
+        partitions = [tuple(map(tuple, part))]
     else:
         partitions = enumerate_partitions(diagram)
     blocks = []

@@ -34,15 +34,14 @@ classes are keyed with big integers instead.  Cone classes (where some
 variable divides the whole fiber) are contractible: OR-ing each
 monomial's bitmask of zero coordinates over its class finds them, and
 they are pruned before any homology runs.  The homology of each
-surviving fiber is memoized on its support sets as vertex bitmasks,
-with the homological top and the field.
+surviving fiber is memoized on its strong-collapse core (same homotopy
+type, far fewer distinct complexes), the homological top and the field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -201,44 +200,54 @@ def _degree_data(ctx: _Ctx, d: int, want_groups: bool):
 # simplicial homology
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Abstract simplicial complex given by its inclusion-maximal faces."""
-
-    facets: tuple
-
-    @property
-    def vertices(self):
-        return tuple(sorted({v for f in self.facets for v in f}))
+def _maximal(masks):
+    """The inclusion-maximal vertex bitmasks among masks."""
+    out = []
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if all(m & f != m for f in out):
+            out.append(m)
+    return out
 
 
-def complex_of_supports(supports) -> SimplicialComplex:
-    """Complex generated by the given vertex sets."""
-    sets = sorted({tuple(sorted(set(s))) for s in supports})
-    maximal = [f for f in sets
-               if not any(set(f) < set(g) for g in sets if g != f)]
-    return SimplicialComplex(tuple(maximal))
+def _core(masks):
+    """Strong-collapse core of the complex the vertex bitmasks generate.
+
+    A vertex v is dominated when the maximal faces containing v share
+    another vertex; deleting it is a strong collapse and keeps the
+    homotopy type (Barmak and Minian, "Strong homotopy types, nerves
+    and collapses", Discrete Comput. Geom. 2012).  Dominated vertices
+    are deleted until none is left, and the survivors are relabelled
+    order-preservingly onto 0..k-1.  Returns the maximal faces, sorted.
+    """
+    facets = _maximal(masks)
+    deleted = True
+    while deleted and len(facets) > 1:
+        deleted = False
+        for v in range(max(facets).bit_length()):
+            bit, common = 1 << v, -1
+            for f in facets:
+                if f & bit:
+                    common &= f
+            if bit != common != -1:  # v lies in a facet, and is dominated
+                facets = _maximal(f & ~bit for f in facets)
+                deleted = True
+    if len(facets) == 1:
+        return (1,)
+    kept = [1 << v for v in range(max(facets).bit_length()) if any(f >> v & 1 for f in facets)]
+    return tuple(sorted(sum(1 << k for k, b in enumerate(kept) if f & b) for f in facets))
 
 
+@lru_cache(maxsize=1024)
 def _homology_ranks(facets, top: int, field):
     """Reduced homology ranks (h_0, ..., h_top) of the complex the facets generate.
 
-    Ranks are over Q when field is None, else over GF(field).  Uses the
-    augmented chain complex, so a single nonempty contractible facet
-    gives all zeros.
+    The facets are nonzero vertex bitmasks.  Ranks are over Q when field
+    is None, else over GF(field).  Uses the augmented chain complex, so
+    a single facet gives all zeros.
     """
-    if not facets:
-        return (0,) * (top + 1)
-    common = set(facets[0])
-    for f in facets[1:]:
-        common &= set(f)
-        if not common:
-            break
-    if common:
-        return (0,) * (top + 1)  # cone, contractible
     faces = [set() for _ in range(top + 2)]
-    for f in facets:
-        fl = tuple(sorted(f))
+    for m in facets:
+        fl = tuple(i for i in range(m.bit_length()) if m >> i & 1)
         for size in range(1, min(len(fl), top + 2) + 1):
             faces[size - 1].update(combinations(fl, size))
     dims = [sorted(faces[k]) for k in range(top + 2)]
@@ -247,7 +256,6 @@ def _homology_ranks(facets, top: int, field):
     ranks[0] = 1  # augmentation map onto the empty face
     for k in range(1, top + 2):
         if not dims[k] or not dims[k - 1]:
-            ranks[k] = 0
             continue
         mat = [[0] * len(dims[k]) for _ in dims[k - 1]]
         for ci, face in enumerate(dims[k]):
@@ -256,11 +264,6 @@ def _homology_ranks(facets, top: int, field):
                 mat[index[k - 1][sub]][ci] = -1 if pos % 2 else 1
         ranks[k] = rank_mod_p(mat, field) if field else mat_rank(mat)
     return tuple(len(dims[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
-
-
-def reduced_homology_ranks(cx: SimplicialComplex, top: int = 2, field=None):
-    """Reduced homology ranks of the complex in dimensions 0..top."""
-    return _homology_ranks(list(cx.facets), top, field)
 
 
 # ---------------------------------------------------------------------------
@@ -306,17 +309,6 @@ def _entry_sort_key(e: BettiEntry):
     return (e.i, e.total_degree, e.representative)
 
 
-@lru_cache(maxsize=1 << 14)
-def _support_homology(masks, top: int, field):
-    """:func:`_homology_ranks` of the supports given as vertex bitmasks.
-
-    Keyed on (sorted masks, top, field): about half of the homology
-    calls of an oracle pass repeat a support set met before.
-    """
-    facets = [tuple(i for i in range(m.bit_length()) if m >> i & 1) for m in masks]
-    return _homology_ranks(facets, top, field)
-
-
 @lru_cache(maxsize=1024)
 def _table(rows, horizon: int, field) -> BettiTable:
     """Betti entries of the span of the basis rows, through total degree horizon."""
@@ -326,8 +318,8 @@ def _table(rows, horizon: int, field) -> BettiTable:
     entries = []
     for d in range(horizon + 1):
         for fiber in _degree_data(ctx, d, True)[1]:
-            masks = {sum(1 << i for i, x in enumerate(a) if x) for a in fiber}
-            h = _support_homology(tuple(sorted(masks)), top, field)
+            core = _core(sum(1 << i for i, x in enumerate(a) if x) for a in fiber)
+            h = _homology_ranks(core, top, field)
             entries.extend(BettiEntry(i, min(fiber), d, h[i - 1])
                            for i in range(1, top + 2) if h[i - 1])
     return BettiTable(tuple(sorted(entries, key=_entry_sort_key)), horizon=horizon)
@@ -558,22 +550,26 @@ def polygon_of(lattice: Lattice, a) -> Polygon:
         for cand in (rot90(v), rot90(rot90(rot90(v)))):
             if all(dot2(r, cand) <= 0 for r in rows):
                 raise Unbounded("the fiber polytope has a recession direction")
-    verts_x, verts_y = [], []
-    idx = range(len(rows))
-    for i, j in combinations(idx, 2):
-        dij = det2(rows[i], rows[j])
-        if dij == 0:
+    # each vertex is (x, y) / den with den > 0; keep its ceilings and floors
+    ceils, floors = [], []
+    for (i, ri), (j, rj) in combinations(enumerate(rows), 2):
+        den = det2(ri, rj)
+        if den == 0:
             continue
-        ux = Fraction(avec[i] * rows[j][1] - avec[j] * rows[i][1], dij)
-        uy = Fraction(rows[i][0] * avec[j] - rows[j][0] * avec[i], dij)
-        if all(r[0] * ux + r[1] * uy <= avec[k] for k, r in enumerate(rows)):
-            verts_x.append(ux)
-            verts_y.append(uy)
-    if not verts_x:
+        x = avec[i] * rj[1] - avec[j] * ri[1]
+        y = ri[0] * avec[j] - rj[0] * avec[i]
+        if den < 0:
+            x, y, den = -x, -y, -den
+        if all(r[0] * x + r[1] * y <= avec[k] * den for k, r in enumerate(rows)):
+            ceils.append((-(-x // den), -(-y // den)))
+            floors.append((x // den, y // den))
+    if not ceils:
         return Polygon(avec, (), ())
+    x0, y0 = map(min, zip(*ceils))
+    x1, y1 = map(max, zip(*floors))
     points = []
-    for x in range(math.ceil(min(verts_x)), math.floor(max(verts_x)) + 1):
-        for y in range(math.ceil(min(verts_y)), math.floor(max(verts_y)) + 1):
+    for x in range(x0, x1 + 1):
+        for y in range(y0, y1 + 1):
             if all(r[0] * x + r[1] * y <= avec[k] for k, r in enumerate(rows)):
                 points.append((x, y))
     points = tuple(sorted(points))
@@ -599,7 +595,3 @@ def fiber_of(lattice: Lattice, a) -> FiberClass:
                          for u in poly.points))
     return FiberClass(monos[0], sum(avec), monos)
 
-
-def class_key(lattice: Lattice, a) -> tuple:
-    """Hashable key identifying the residue class of a modulo the lattice."""
-    return _ctx(lattice.rows).key(tuple(int(x) for x in a))

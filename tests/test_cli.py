@@ -253,6 +253,29 @@ def test_reduce_bad_partition_names_row(capsys, tmp_path):
     assert "row 1 = (-1, 1) is not in closed quadrant 1" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("part", [
+    [[0], [1, 2], [3], "x"],
+    [[0], [1, 2], [3], [4.7]],
+    [[0], [1, 2], [3], 4],
+    [[False], [1, 2], [3], [4]],
+])
+def test_reduce_rejects_malformed_partition(capsys, tmp_path, part):
+    code, doc = run(capsys, "reduce", "--file", reduce_file(tmp_path, {"partition": part}))
+    assert code == 2
+    assert doc["error"]["type"] == "BadInput"
+    assert "partition" in doc["error"]["message"]
+
+
+def test_file_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    payload = {"gale": [[1, 1], [-1, 1], [-1, 0], [-1, -1], [2, -1]], "note": "\u00e9"}
+    path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("latin-1"))
+    code, doc = run(capsys, "reduce", "--file", str(path))
+    assert code == 2
+    assert doc["error"]["type"] == "BadInput"
+    assert "utf-8" in doc["error"]["message"]
+
+
 # ---------------------------------------------------------------------------
 # search
 

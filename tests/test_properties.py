@@ -12,6 +12,7 @@ from galereg.fiberhom import (
     degree_and_regularity,
     hilbert_degree,
     hilbert_function,
+    polygon_of,
     reg_deg_via_hilbert,
 )
 from galereg.intlinalg import dot2, xgcd
@@ -262,6 +263,49 @@ def test_packed_class_key_matches_big_integers(rows, d):
         slow_count, slow_groups = fiberhom._degree_data(ctx, d, True)
     assert count == slow_count
     assert sorted(map(sorted, groups)) == sorted(map(sorted, slow_groups))
+
+
+def compositions(n, d):
+    out = []
+    for combo in combinations_with_replacement(range(n), d):
+        mono = [0] * n
+        for i in combo:
+            mono[i] += 1
+        out.append(tuple(mono))
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(packed_key_rows(), st.integers(min_value=0, max_value=5), st.data())
+def test_polygon_points_count_the_class(rows, d, data):
+    """polygon_of, on integer floors and ceilings, finds every member of a's class."""
+    comps = compositions(len(rows), d)
+    a = data.draw(st.sampled_from(comps))
+    key = fiberhom._ctx(rows).key
+    lat = lattice_from_gale(rows)
+    assert len(polygon_of(lat, a).points) == sum(key(b) == key(a) for b in comps)
+
+
+# ---------------------------------------------------------------------------
+# strong-collapse cores
+
+# the 6-vertex real projective plane: acyclic over Q, not over GF(2)
+RP2 = tuple(sum(1 << v for v in f) for f in (
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+    (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.integers(min_value=1, max_value=255), min_size=1, max_size=10))
+@example(list(RP2))
+@example([m | 1 << 6 for m in RP2])
+def test_core_has_the_homology_of_the_complex(masks):
+    """Deleting dominated vertices keeps the homology, over Q and GF(2)."""
+    core = fiberhom._core(masks)
+    full = tuple(sorted(set(masks)))
+    for field in (None, 2):
+        assert (fiberhom._homology_ranks(core, 3, field)
+                == fiberhom._homology_ranks.__wrapped__(full, 3, field))
 
 
 @settings(deadline=None, max_examples=25)
