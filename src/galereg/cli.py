@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .classify import classify_maximal, classify_monomial_curve, CurveSpec
 from .errors import (
@@ -430,7 +431,9 @@ def _add_pretty_flag(sub):
     )
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``galereg`` argument parser, built once per process and shared."""
     parser = argparse.ArgumentParser(
         prog="galereg",
         description="Invariants of codimension-2 lattice ideals.",

@@ -16,10 +16,53 @@ reg <= deg for codimension-2 lattice ideals (Peeva and Sturmfels,
 reg <= deg - codim + 1 for monomial curves (Gruson, Lazarsfeld and
 Peskine, Invent. Math. 1983).  Every table the oracle returns is
 certified by the Betti-sum identities against the known degree.  All
-arithmetic is exact; a checked int64 fast path accelerates the
-enumeration and falls back to big integers when its bound fails.
+arithmetic is exact.
 
-Classes are keyed through a left Smith transform U of the basis matrix:
+Only non-cone classes can carry a Betti number; a class is a cone when
+some variable divides its whole fiber, and then its complex is
+contractible.  For a rank-2 lattice with Gale vectors b_1, ..., b_n the
+fiber of a is {a - B u : u in Z^2, B u <= a} (Peeva and Sturmfels), and
+the class of a is a non-cone exactly when every inequality b_i . u <= a_i
+is attained at a lattice point.  The non-cone classes therefore
+correspond, up to translation, to the finite sets T of Z^2 that are
+B-closed: T = {u in Z^2 : b_i . u <= max_T b_i . v for all i}.  The
+class has a_i = max_T b_i . u and total degree sum_i a_i, which does not
+change under translation since sum_i b_i = 0.  Closed sets are closed
+under intersection, so closure(S), the least closed set holding S, is a
+closure operator, and its degree grows with S.
+
+The rank-2 oracle enumerates these sets directly, without touching a
+monomial.  Translate T so that 0 is its lex-least point.  Then a >= 0,
+and every u in T has f(u) = sum_i max(0, b_i . u) <= sum_i a_i, so T
+lies in G_H = {u in Z^2 : f(u) <= H} for the horizon H.  f is convex,
+positive away from 0 (the b_i have rank 2) and even (sum_i b_i = 0), so
+G_H is a bounded polygon with -G_H = G_H; its vertices lie on the rays
++-rot90(b_i), where f changes slope, at H r / f(r), and exact integer
+floors of those give its bounding box.  The points of G_H are indexed in
+lex order, a set T is a bitmask over them, and for each row
+``le[i][t]`` masks the points u with b_i . u <= t, t = 0..H.  Then
+closure(T + {p}) = AND_i le[i][max(a_i, b_i . p)], and its degree vector
+max(a, B p) is attained (by T or by p), so it needs no tightening.  The
+sets are generated by prefix-preserving closure extension (Uno, Kiyomi
+and Arimura, "LCM ver. 2", FIMI 2004): a child of T is closure(T + {p})
+for p past the point that made T, kept only when it adds no point
+before p.  For a closed set C other than {0}, let p be the first point
+of C with closure(C up to p) = C; then C is the child of
+closure(C before p) at p and of no other set, so each set comes out
+once and no visited set is kept.  A child whose degree exceeds H is
+pruned, and so is any closure with a point lex-below 0: both properties
+pass to every superset, so pruning keeps the enumeration complete.  Such
+a point is seen within G_H, since G_H = -G_H holds the lex-least point
+of any closure of degree <= H.  The work is at most one AND of n masks
+per (closed set, candidate point) pair, over the |G_H| points; the
+memory is n (H + 1) masks of |G_H| bits.  The grid of the bounding box
+is int64, behind an exact bound on every b_i . u and f(u) over the box;
+a diagram beyond it raises BadInput.
+
+Spans of rank r >= 3 (monomial curves) still group monomials degree by
+degree: on the 231 curves of degree at most 9, a prototype closure in
+Z^3 took 4.7 s, and grouping their few monomials takes about 0.2 s.  Classes
+are keyed through a left Smith transform U of the basis matrix:
 a and a' are congruent modulo the column lattice exactly when U*a and
 U*a' agree modulo the diagonal entries in the first rank coordinates
 and exactly elsewhere.  In degree d those coordinates pack into one
@@ -30,12 +73,13 @@ d (max(u_k, 0) - min(u_k, 0)) + 1; the free digits fold into one weight
 vector, so the key is one mat-vec plus one per torsion coordinate, and
 one stable argsort groups the classes.  An exact bound in Python ints
 covers the key and every partial sum of those mat-vecs; above it, the
-classes are keyed with big integers instead.  Cone classes (where some
-variable divides the whole fiber) are contractible: OR-ing each
-monomial's bitmask of zero coordinates over its class finds them, and
-they are pruned before any homology runs.  The homology of each
-surviving fiber is memoized on its strong-collapse core (same homotopy
-type, far fewer distinct complexes), the homological top and the field.
+classes are keyed with big integers instead.  OR-ing each monomial's
+bitmask of zero coordinates over its class finds the cone classes,
+which are pruned.  The same counting gives the Hilbert function.
+
+The homology of each non-cone fiber is memoized on its strong-collapse
+core (same homotopy type, far fewer distinct complexes), the
+homological top and the field.
 """
 
 from __future__ import annotations
@@ -43,7 +87,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
+from operator import sub
 
 import numpy as np
 
@@ -309,19 +354,77 @@ def _entry_sort_key(e: BettiEntry):
     return (e.i, e.total_degree, e.representative)
 
 
+def _live_fibers(rows, horizon: int):
+    """Non-cone fibers of a rank-2 lattice, of total degree 1..horizon.
+
+    Yields (d, fiber), each fiber a list of exponent tuples, one per
+    B-closed set T of Z^2 with lex-least point 0 and degree
+    d = sum_i max_T b_i . u <= horizon; see the module docstring.
+    """
+    # G_H lies in the box through its vertices H r / f(r), r = +-rot90(b_i)
+    xmax = ymax = 0
+    for r in {rot90(b) for b in rows if b != (0, 0)}:
+        f = sum(max(0, dot2(b, r)) for b in rows)
+        xmax = max(xmax, horizon * abs(r[0]) // f)
+        ymax = max(ymax, horizon * abs(r[1]) // f)
+    if sum(abs(b[0]) * xmax + abs(b[1]) * ymax for b in rows) >= _INT64_SAFE:
+        raise BadInput("Gale vectors too long for the int64 grid of the closure")
+    xs, ys = np.meshgrid(np.arange(-xmax, xmax + 1), np.arange(-ymax, ymax + 1), indexing="ij")
+    box = np.stack([xs.ravel(), ys.ravel()], axis=1)  # lex order
+    vals = box @ np.array(rows, dtype=np.int64).T  # row k holds B u for the k-th point
+    vals = vals[np.maximum(vals, 0).sum(axis=1) <= horizon]
+    origin = len(vals) // 2  # G_H = -G_H, so 0 is its middle point
+    # le[j][t]: the bitmask of the points u with b_j . u <= t, t = 0..horizon
+    steps = np.arange(horizon + 1)[:, None]
+    le = [[int.from_bytes(m, "little")
+           for m in np.packbits(col <= steps, axis=1, bitorder="little")]
+          for col in vals.T]
+    vals = vals.tolist()
+    stack = [(1 << origin, (0,) * len(rows), range(origin + 1, len(vals)))]
+    while stack:
+        t_mask, a, cands = stack.pop()
+        viable = []
+        for q in cands:
+            if not t_mask >> q & 1:
+                a2 = [x if x > y else y for x, y in zip(a, vals[q])]
+                if sum(a2) <= horizon:
+                    viable.append((q, a2))
+        for pos, (q, a2) in enumerate(viable):
+            c = -1
+            for le_j, t in zip(le, a2):
+                c &= le_j[t]
+            # the closure may add no point below q (prefix preservation);
+            # T has no point below the origin, so this also rejects a
+            # closure whose lex-least point is not 0
+            if (c ^ t_mask) & ((1 << q) - 1):
+                continue
+            stack.append((c, a2, [p for p, _ in viable[pos + 1:]]))
+            fiber = []
+            while c:
+                k = (c & -c).bit_length() - 1
+                c &= c - 1
+                fiber.append(tuple(map(sub, a2, vals[k])))
+            yield sum(a2), fiber
+
+
 @lru_cache(maxsize=1024)
 def _table(rows, horizon: int, field) -> BettiTable:
     """Betti entries of the span of the basis rows, through total degree horizon."""
-    ctx = _ctx(rows)
-    # projective dimension of S/I_L is at most 3 in rank 2 and n-1 in general
-    top = 2 if ctx.r == 2 else ctx.n - 2
+    if len(rows[0]) == 2:
+        top = 2  # S/I_L has projective dimension at most 3
+        fibers = _live_fibers(rows, horizon)
+    else:
+        ctx = _ctx(rows)
+        top = ctx.n - 2
+        fibers = ((d, fiber) for d in range(1, horizon + 1)
+                  for fiber in _degree_data(ctx, d, True)[1])
+    bits = [1 << i for i in range(len(rows))]
     entries = []
-    for d in range(horizon + 1):
-        for fiber in _degree_data(ctx, d, True)[1]:
-            core = _core(sum(1 << i for i, x in enumerate(a) if x) for a in fiber)
-            h = _homology_ranks(core, top, field)
-            entries.extend(BettiEntry(i, min(fiber), d, h[i - 1])
-                           for i in range(1, top + 2) if h[i - 1])
+    for d, fiber in fibers:
+        core = _core(sum(compress(bits, a)) for a in fiber)
+        h = _homology_ranks(core, top, field)
+        entries.extend(BettiEntry(i, min(fiber), d, h[i - 1])
+                       for i in range(1, top + 2) if h[i - 1])
     return BettiTable(tuple(sorted(entries, key=_entry_sort_key)), horizon=horizon)
 
 

@@ -121,6 +121,19 @@ def test_analyze_not_cohen_macaulay_all_modes(capsys, basis, saturated, deg_reg,
     assert doc["regularity"] == doc["quadrangles"][-1]["total"] - 2
 
 
+def test_analyze_ten_vectors_of_degree_53(capsys):
+    # 1.8e11 monomials lie below the horizon deg + 2 = 55; the oracle
+    # visits only the points u of Z^2 with sum_i max(0, b_i . u) <= 55
+    basis = "[[-3,2,-3,-2,3,-1,2,0,-1,3],[0,1,3,1,0,0,-3,-3,2,-1]]"
+    code, doc = run(capsys, "analyze", "--basis", basis)
+    assert code == 0
+    assert (doc["degree"], doc["regularity"]) == (53, 17)
+    assert doc["verdict"]["case"] == "NOT_MAXIMAL"
+    third = sorted(e["total"] for e in doc["betti"]["entries"] if e["i"] == 3
+                   for _ in range(e["rank"]))
+    assert third == sorted(q["total"] for q in doc["quadrangles"]) == [16, 19]
+
+
 def test_analyze_internal_inconsistency_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "regularity_fast", lambda lattice: 99)
     code, doc = run(capsys, "analyze", "--basis", BASIS_TWISTED_CUBIC, "--fast")
@@ -325,3 +338,16 @@ def test_pretty_smoke(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "case:" in out and "RUN_AT_BOTTOM" in out
+
+
+def test_shared_parser_keeps_usage_errors_and_pretty(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--fast", "--certify", "--A", A_TWISTED_CUBIC])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # a flag given on one call does not leak into the next
+    assert main(["--pretty", "curve", "0,1,4,5"]) == 0
+    assert "case:" in capsys.readouterr().out
+    code, doc = run(capsys, "curve", "0,1,4,5")
+    assert code == 0 and doc["case"] == "RUN_AT_BOTTOM"

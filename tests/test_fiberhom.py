@@ -101,6 +101,12 @@ def test_big_integer_fallback_matches_numpy(lat, monkeypatch):
         assert sorted(map(sorted, slow_groups)) == sorted(map(sorted, groups))
 
 
+def test_closure_grid_refuses_int64_overflow(monkeypatch):
+    monkeypatch.setattr(fiberhom, "_INT64_SAFE", 1 << 4)
+    with pytest.raises(BadInput, match="int64"):
+        next(fiberhom._live_fibers(n4_family(9).rows, 11))
+
+
 # the 6-vertex real projective plane: acyclic over Q, not over GF(2)
 RP2_FACETS = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
               (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5))

@@ -104,10 +104,11 @@ def test_equivalent_images_share_keys(pair):
 
 
 @settings(deadline=None, max_examples=60)
-@given(gale_rows(), gale_rows())
-def test_key_equality_decides_equivalence(rows_a, rows_b):
+@given(st.integers(min_value=3, max_value=5).flatmap(
+    lambda n: st.tuples(gale_rows(min_n=n, max_n=n), gale_rows(min_n=n, max_n=n))))
+def test_key_equality_decides_equivalence(pair):
+    rows_a, rows_b = pair
     a, b = lattice_from_gale(rows_a), lattice_from_gale(rows_b)
-    assume(a.n == b.n)
     same_key = permutation_canonical_key(a) == permutation_canonical_key(b)
     assert same_key == gale_equivalent(rows_a, rows_b, up_to_permutation=True)
 
@@ -263,6 +264,56 @@ def test_packed_class_key_matches_big_integers(rows, d):
         slow_count, slow_groups = fiberhom._degree_data(ctx, d, True)
     assert count == slow_count
     assert sorted(map(sorted, groups)) == sorted(map(sorted, slow_groups))
+
+
+@st.composite
+def closure_rows(draw):
+    """Gale diagrams with n <= 7 and coordinates <= 3, zero rows included.
+
+    The first coordinate of every row is scaled by k in {1, 2, 3}, as in
+    :func:`packed_key_rows`, so many draws are not saturated.  Each
+    coordinate of the first n - 1 rows is drawn from the range that
+    still lets the last row, minus their sum, lie in the box.
+    """
+    n = draw(st.integers(min_value=3, max_value=7))
+    k = draw(st.sampled_from((1, 2, 3)))
+    bounds = (3 // k, 3)
+    sums = [0, 0]
+    rows = []
+    for after in range(n - 1, 0, -1):  # rows after this one, the last included
+        row = []
+        zero = draw(st.integers(0, 3)) == 0
+        for c, b in enumerate(bounds):
+            lo, hi = max(-b, -b * after - sums[c]), min(b, b * after - sums[c])
+            x = 0 if zero and lo <= 0 <= hi else draw(st.integers(lo, hi))
+            sums[c] += x
+            row.append(x)
+        rows.append(row)
+    rows.append([-x for x in sums])
+    rows = tuple((k * x, y) for x, y in rows)
+    try:
+        lattice_from_gale(rows)
+    except GaleregError:
+        assume(False)
+    return rows
+
+
+def _fiber_multiset(pairs):
+    return sorted((d, tuple(sorted(fiber))) for d, fiber in pairs)
+
+
+@settings(deadline=None, max_examples=80)
+@given(closure_rows(), st.integers(min_value=2, max_value=12))
+@example(((0, 2), (2, 0), (0, -2), (-2, 0)), 6)
+@example(((2, 1), (0, 0), (-2, 1), (2, -1), (0, 0), (-2, -1)), 8)
+@example(((0, 0), (0, 0), (0, 0), (1, 0), (0, 1), (-1, -1)), 5)
+def test_closure_enumerates_the_live_classes(rows, horizon):
+    """Each non-cone fiber through the horizon comes out of the closure once."""
+    ctx = fiberhom._ctx(rows)
+    grouped = ((d, fiber) for d in range(1, horizon + 1)
+               for fiber in fiberhom._degree_data(ctx, d, True)[1])
+    assert (_fiber_multiset(fiberhom._live_fibers(rows, horizon))
+            == _fiber_multiset(grouped))
 
 
 def compositions(n, d):
