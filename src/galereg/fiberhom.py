@@ -55,9 +55,12 @@ pass to every superset, so pruning keeps the enumeration complete.  Such
 a point is seen within G_H, since G_H = -G_H holds the lex-least point
 of any closure of degree <= H.  The work is at most one AND of n masks
 per (closed set, candidate point) pair, over the |G_H| points; the
-memory is n (H + 1) masks of |G_H| bits.  The grid of the bounding box
-is int64, behind an exact bound on every b_i . u and f(u) over the box;
-a diagram beyond it raises BadInput.
+memory is n (H + 1) masks of |G_H| bits.  The grid (:func:`gh_grid`) is
+shared with the syzygy-quadrangle scan, which runs over G_T for its
+degree bound T.  It is int64, behind an exact bound on every b_i . u
+and f(u) over the bounding box, and the box is capped at GRID_CAP
+points; both are checked before the box is allocated, and a diagram
+beyond either raises BadInput.
 
 Spans of rank r >= 3 (monomial curves) still group monomials degree by
 degree: on the 231 curves of degree at most 9, a prototype closure in
@@ -97,6 +100,7 @@ from .intlinalg import dot2, det2, integer_kernel, mat_rank, rank_mod_p, rot90, 
 from .zlattice import Lattice, is_nondegenerate, lattice_from_basis
 
 _INT64_SAFE = 1 << 62
+GRID_CAP = 1 << 22  # points in the bounding box of G_H; see gh_grid
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +358,34 @@ def _entry_sort_key(e: BettiEntry):
     return (e.i, e.total_degree, e.representative)
 
 
+def gh_grid(rows, horizon: int):
+    """The lattice points of G_H = {u : sum_i max(0, b_i . u) <= H}, H = horizon.
+
+    Returns (points, vals): int64 arrays with one lex-ordered point u
+    per row, and B u in the same row of ``vals``.  Since G_H = -G_H,
+    the origin is the middle point.  The bounding box comes from exact
+    floors at the vertices H r / f(r), r = +-rot90(b_i), and is sized
+    before anything is allocated: above GRID_CAP points, or beyond the
+    int64 bound on every b_i . u over the box, BadInput.
+    """
+    xmax = ymax = 0
+    for r in {rot90(b) for b in rows if b != (0, 0)}:
+        f = sum(max(0, dot2(b, r)) for b in rows)
+        xmax = max(xmax, horizon * abs(r[0]) // f)
+        ymax = max(ymax, horizon * abs(r[1]) // f)
+    size = (2 * xmax + 1) * (2 * ymax + 1)
+    if size > GRID_CAP:
+        raise BadInput(f"the bounding box of G_{horizon} has {size} points, "
+                       f"above the cap of {GRID_CAP}")
+    if sum(abs(b[0]) * xmax + abs(b[1]) * ymax for b in rows) >= _INT64_SAFE:
+        raise BadInput(f"Gale vectors too long for the int64 grid of G_{horizon}")
+    xs, ys = np.meshgrid(np.arange(-xmax, xmax + 1), np.arange(-ymax, ymax + 1), indexing="ij")
+    box = np.stack([xs.ravel(), ys.ravel()], axis=1)  # lex order
+    vals = box @ np.array(rows, dtype=np.int64).T  # row k holds B u for the k-th point
+    inside = np.maximum(vals, 0).sum(axis=1) <= horizon
+    return box[inside], vals[inside]
+
+
 def _live_fibers(rows, horizon: int):
     """Non-cone fibers of a rank-2 lattice, of total degree 1..horizon.
 
@@ -361,19 +393,8 @@ def _live_fibers(rows, horizon: int):
     B-closed set T of Z^2 with lex-least point 0 and degree
     d = sum_i max_T b_i . u <= horizon; see the module docstring.
     """
-    # G_H lies in the box through its vertices H r / f(r), r = +-rot90(b_i)
-    xmax = ymax = 0
-    for r in {rot90(b) for b in rows if b != (0, 0)}:
-        f = sum(max(0, dot2(b, r)) for b in rows)
-        xmax = max(xmax, horizon * abs(r[0]) // f)
-        ymax = max(ymax, horizon * abs(r[1]) // f)
-    if sum(abs(b[0]) * xmax + abs(b[1]) * ymax for b in rows) >= _INT64_SAFE:
-        raise BadInput("Gale vectors too long for the int64 grid of the closure")
-    xs, ys = np.meshgrid(np.arange(-xmax, xmax + 1), np.arange(-ymax, ymax + 1), indexing="ij")
-    box = np.stack([xs.ravel(), ys.ravel()], axis=1)  # lex order
-    vals = box @ np.array(rows, dtype=np.int64).T  # row k holds B u for the k-th point
-    vals = vals[np.maximum(vals, 0).sum(axis=1) <= horizon]
-    origin = len(vals) // 2  # G_H = -G_H, so 0 is its middle point
+    _, vals = gh_grid(rows, horizon)
+    origin = len(vals) // 2
     # le[j][t]: the bitmask of the points u with b_j . u <= t, t = 0..horizon
     steps = np.arange(horizon + 1)[:, None]
     le = [[int.from_bytes(m, "little")

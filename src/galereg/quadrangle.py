@@ -15,17 +15,27 @@ of a non-Cohen-Macaulay ideal (two less than the largest total degree
 sum(a)).  Together with the shear-based complete-intersection test this
 gives the homology-free fast path used by the classifier and the
 searches.
+
+A class of total degree T has both edges in the ball
+sum_j |b_j.u| <= 2T; the rows sum to zero, so sum_j |b_j.u| =
+2 sum_j max(0, b_j.u) and the ball is the polygon
+G_T = {u : sum_j max(0, b_j.u) <= T} whose grid the rank-2 oracle
+builds (:func:`~.fiberhom.gh_grid`).  Negating v or w translates the
+parallelogram and leaves the sector test, |det(v, w)| and the total
+degree unchanged, so the scan pairs only the primitive points of G_T
+after the origin in lex order: one of each pair +-u.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
+
+import numpy as np
 
 from .errors import PreconditionCI, PreconditionCM
-from .fiberhom import FiberClass, betti_horizon, fiber_of, hilbert_degree, reg_deg_via_hilbert
+from .fiberhom import (FiberClass, betti_horizon, fiber_of, gh_grid, hilbert_degree,
+                       reg_deg_via_hilbert)
 from .intlinalg import det2, dot2, primitive_part, rot90, xgcd
 from .zlattice import GaleDiagram, Lattice
 
@@ -61,8 +71,11 @@ def _imbalancing_shear_exists(rows, v) -> bool:
     """Integer functional f with f.v = 1 and b.f <= 0 off the axis line.
 
     Vectors parallel to v land on the new y-axis and are exempt; every
-    other row b imposes a one-sided rational bound on the shear
-    parameter k in f = u0 + k*rot90(v).
+    other row b imposes a one-sided rational bound -b.u0 / c on the
+    shear parameter k in f = u0 + k*rot90(v), c = b.rot90(v).  An
+    integer k exists when the floor of the least upper bound reaches
+    the ceiling of the greatest lower bound; the floor of a minimum is
+    the minimum of the floors, and likewise for ceilings and maxima.
     """
     g, x, y = xgcd(v[0], v[1])
     assert g == 1
@@ -70,17 +83,19 @@ def _imbalancing_shear_exists(rows, v) -> bool:
     omega = rot90(v)
     lo = hi = None
     for b in rows:
-        c1 = dot2(b, omega)
-        if c1 == 0:
+        c = dot2(b, omega)
+        if c == 0:
             continue
-        bound = Fraction(-dot2(b, u0), c1)
-        if c1 > 0:
-            hi = bound if hi is None else min(hi, bound)
+        num = -dot2(b, u0)
+        if c > 0:
+            k = num // c
+            hi = k if hi is None else min(hi, k)
         else:
-            lo = bound if lo is None else max(lo, bound)
+            k = -(-num // c)
+            lo = k if lo is None else max(lo, k)
     if lo is None or hi is None:
         return True
-    return floor(hi) >= ceil(lo)
+    return hi >= lo
 
 
 @lru_cache(maxsize=1024)
@@ -128,53 +143,27 @@ def _quadrangle_pairs(rows, bound: int):
     """All syzygy quadrangle classes of total degree <= bound.
 
     Returns canonical (v, w) pairs sorted by (total degree, v, w).  A
-    class of total degree T satisfies sum_j |b_j.v| <= 2T because the
-    rows sum to zero, so scanning primitive vectors inside that norm
-    ball is exhaustive.
+    class of total degree T has sum_j |b_j.v| <= 2T, and since the rows
+    sum to zero that ball is G_T = {u : sum_j max(0, b_j.u) <= T}, the
+    polygon of :func:`~.fiberhom.gh_grid`.  Negating v or w translates
+    the parallelogram, so half of G_T suffices: its points after the
+    origin in lex order.  Only primitive v can have |det(v, w)| = 1.
     """
-    i, j = next(
-        (i, j)
-        for i in range(len(rows))
-        for j in range(i + 1, len(rows))
-        if det2(rows[i], rows[j])
-    )
-    r1, r2 = rows[i], rows[j]
-    d = abs(det2(r1, r2))
-    m = 2 * bound
-    xmax = (m * (abs(r2[1]) + abs(r1[1]))) // d
-    ymax = (m * (abs(r2[0]) + abs(r1[0]))) // d
-    half = []
-    for y in range(ymax + 1):
-        for x in range(-xmax, xmax + 1):
-            if y == 0 and x <= 0:
-                continue
-            v = (x, y)
-            if abs(dot2(r1, v)) > m or abs(dot2(r2, v)) > m:
-                continue
-            if sum(abs(dot2(b, v)) for b in rows) > m:
-                continue
-            if primitive_part(v) != v:
-                continue
-            half.append(v)
-    pos = {}
-    neg = {}
-    for v in half:
-        p = q = 0
-        for k, b in enumerate(rows):
-            s = dot2(b, v)
-            if s > 0:
-                p |= 1 << k
-            elif s < 0:
-                q |= 1 << k
-        pos[v] = p
-        neg[v] = q
+    pts, vals = gh_grid(rows, bound)
+    after = slice(len(pts) // 2 + 1, None)
+    pts, vals = pts[after], vals[after]
+    keep = np.gcd(pts[:, 0], pts[:, 1]) == 1
+    half = list(map(tuple, pts[keep].tolist()))
+    vals = vals[keep]
+    pos, neg = ([int.from_bytes(m, "little") for m in np.packbits(s, axis=1, bitorder="little")]
+                for s in (vals > 0, vals < 0))
     found = []
     for a in range(len(half)):
         v = half[a]
-        pv, nv = pos[v], neg[v]
+        pv, nv = pos[a], neg[a]
         for b in range(a + 1, len(half)):
             w = half[b]
-            pw, nw = pos[w], neg[w]
+            pw, nw = pos[b], neg[b]
             if not (pv & pw and nv & pw and nv & nw and pv & nw):
                 continue
             if abs(det2(v, w)) != 1:

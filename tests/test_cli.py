@@ -5,6 +5,7 @@ import json
 import pytest
 
 import galereg.cli as cli
+import galereg.fiberhom as fiberhom
 from galereg.cli import main
 
 A_TWISTED_CUBIC = "[[1,1,1,1],[0,1,2,3]]"
@@ -97,6 +98,20 @@ def test_analyze_not_saturated(capsys, tmp_path):
     assert doc["verdict"]["case"] == "NOT_APPLICABLE"
     assert doc["verdict"]["maximal"] is None
     assert doc["verdict"]["params"]["reason"] == "NotSaturated"
+
+
+@pytest.mark.parametrize("flags", [[], ["--fast"]])
+def test_analyze_refuses_a_grid_above_the_cap(capsys, monkeypatch, flags):
+    # a shear of the degree-3 diagram ((1,1),(2,-1),(-1,-1),(-2,1)): G_5
+    # keeps its points, but its bounding box grows past the cap, which the
+    # quadrangle scan of both modes meets before allocating anything
+    monkeypatch.setattr(fiberhom.np, "meshgrid", None)
+    k = 10**6
+    basis = json.dumps([[1, 2, -1, -2], [k + 1, 2 * k - 1, -k - 1, -2 * k + 1]])
+    code, doc = run(capsys, "analyze", "--basis", basis, *flags)
+    assert code == 2
+    assert doc["error"]["type"] == "BadInput"
+    assert f"above the cap of {fiberhom.GRID_CAP}" in doc["error"]["message"]
 
 
 def test_analyze_degenerate(capsys):

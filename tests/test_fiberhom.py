@@ -107,6 +107,14 @@ def test_closure_grid_refuses_int64_overflow(monkeypatch):
         next(fiberhom._live_fibers(n4_family(9).rows, 11))
 
 
+def test_grid_box_is_capped_before_allocation(monkeypatch):
+    # G_2000 of this diagram has a 4001 x 4001 bounding box; the estimate
+    # alone refuses it, so nothing is allocated
+    monkeypatch.setattr(fiberhom.np, "meshgrid", None)
+    with pytest.raises(BadInput, match=f"has {4001 ** 2} points"):
+        fiberhom.gh_grid(((1, 0), (0, 1), (-1, -1)), 2000)
+
+
 # the 6-vertex real projective plane: acyclic over Q, not over GF(2)
 RP2_FACETS = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
               (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5))

@@ -1,11 +1,14 @@
 """Property-based invariants: equivalence, transforms, Hilbert counts."""
 
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
+from math import ceil, floor, gcd
 from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 import galereg.fiberhom as fiberhom
+import galereg.quadrangle as quadrangle
 from galereg.errors import GaleregError, NotAllQuadrants, PreconditionNotBalanced
 from galereg.fiberhom import (
     betti_table,
@@ -15,7 +18,7 @@ from galereg.fiberhom import (
     polygon_of,
     reg_deg_via_hilbert,
 )
-from galereg.intlinalg import dot2, xgcd
+from galereg.intlinalg import det2, dot2, xgcd
 from galereg.quadrangle import (
     enumerate_syzygy_quadrangles,
     is_cohen_macaulay,
@@ -419,6 +422,110 @@ def test_quadrangle_totals_invariant(u, rows):
         q.total_degree for q in enumerate_syzygy_quadrangles(image, bound)
     )
     assert totals == totals_image
+
+
+def box_scan_pairs(rows, bound):
+    """Quadrangle classes, point by point over a box sized by two independent rows.
+
+    Keeps the primitive v with y > 0, or y = 0 < x, inside the norm
+    ball sum_j |b_j.v| <= 2T, and pairs them as the scan over G_T does.
+    """
+    i, j = next((i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))
+                if det2(rows[i], rows[j]))
+    r1, r2 = rows[i], rows[j]
+    d = abs(det2(r1, r2))
+    m = 2 * bound
+    xmax = m * (abs(r2[1]) + abs(r1[1])) // d
+    ymax = m * (abs(r2[0]) + abs(r1[0])) // d
+    half = [(x, y) for y in range(ymax + 1) for x in range(-xmax, xmax + 1)
+            if (y > 0 or x > 0) and gcd(x, y) == 1
+            and sum(abs(dot2(b, (x, y))) for b in rows) <= m]
+    sign = {v: [(dot2(b, v) > 0) - (dot2(b, v) < 0) for b in rows] for v in half}
+    found = []
+    for a, v in enumerate(half):
+        for w in half[a + 1:]:
+            sectors = {(sv, sw) for sv, sw in zip(sign[v], sign[w])}
+            if not {(1, 1), (1, -1), (-1, 1), (-1, -1)} <= sectors:
+                continue
+            if abs(det2(v, w)) != 1:
+                continue
+            t = quadrangle._total_degree(rows, v, w)
+            if t <= bound:
+                found.append((t, quadrangle._canonical_pair(v, w)))
+    return tuple(sorted(found))
+
+
+@st.composite
+def scan_rows(draw):
+    """Gale diagrams with n <= 7 and coordinates <= 3.
+
+    Rows may be zero, repeat an earlier row or be a multiple of the
+    first nonzero row, and the first coordinate of every row is scaled
+    by k in {1, 2, 3}, so many draws are not saturated.  As in
+    :func:`closure_rows`, each row is drawn from the range that still
+    lets the last row lie in the box.
+    """
+    n = draw(st.integers(min_value=3, max_value=7))
+    k = draw(st.sampled_from((1, 2, 3)))
+    bounds = (3 // k, 3)
+    sums = [0, 0]
+    rows = []
+    for after in range(n - 1, 0, -1):  # rows after this one, the last included
+        ranges = [(max(-b, -b * after - s), min(b, b * after - s)) for b, s in zip(bounds, sums)]
+        first = next((r for r in rows if r != (0, 0)), None)
+        options = [(0, 0)] + rows + [(c * first[0], c * first[1]) for c in (-2, -1, 2) if first]
+        options = [r for r in options if all(lo <= x <= hi for x, (lo, hi) in zip(r, ranges))]
+        if options and draw(st.integers(0, 2)) == 0:
+            row = draw(st.sampled_from(options))
+        else:
+            row = tuple(draw(st.integers(lo, hi)) for lo, hi in ranges)
+        sums = [s + x for s, x in zip(sums, row)]
+        rows.append(row)
+    rows.append((-sums[0], -sums[1]))
+    rows = draw(st.permutations([(k * x, y) for x, y in rows]))
+    try:
+        return lattice_from_gale(rows).rows
+    except GaleregError:
+        assume(False)
+
+
+@st.composite
+def scan_cases(draw):
+    rows = draw(scan_rows())
+    return rows, draw(st.integers(1, hilbert_degree(lattice_from_gale(rows)) + 2))
+
+
+@settings(deadline=None, max_examples=100)
+@given(scan_cases())
+@example((((1, 1), (2, -1), (-1, -1), (-2, 1)), 5))  # the unit square attains the regularity
+@example((((1, 0), (-1, 1), (-1, -3), (1, 2)), 6))
+@example((((2, 1), (0, 0), (-2, 1), (2, -1), (0, 0), (-2, -1)), 6))
+def test_quadrangle_scan_matches_the_box_scan(case):
+    """Scanning half of G_T finds the classes the two-row box finds."""
+    rows, bound = case
+    assert quadrangle._quadrangle_pairs.__wrapped__(rows, bound) == box_scan_pairs(rows, bound)
+
+
+def fraction_shear_exists(rows, v):
+    """The shear test of :func:`quadrangle._imbalancing_shear_exists`, on Fractions."""
+    _, x, y = xgcd(v[0], v[1])
+    omega = (-v[1], v[0])
+    lo = [Fraction(-dot2(b, (x, y)), dot2(b, omega)) for b in rows if dot2(b, omega) < 0]
+    hi = [Fraction(-dot2(b, (x, y)), dot2(b, omega)) for b in rows if dot2(b, omega) > 0]
+    return not lo or not hi or floor(min(hi)) >= ceil(max(lo))
+
+
+PRIMITIVE = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if gcd(x, y) == 1]
+
+
+@settings(deadline=None, max_examples=150)
+@given(scan_rows(), st.sampled_from(PRIMITIVE))
+def test_integer_shear_test_matches_fractions(rows, v):
+    assert quadrangle._imbalancing_shear_exists(rows, v) == fraction_shear_exists(rows, v)
+    dirs = {(b[0] // gcd(*b) * s, b[1] // gcd(*b) * s) for b in rows if b != (0, 0)
+            for s in (1, -1)}
+    assert quadrangle._is_ci_rows.__wrapped__(rows) == any(
+        fraction_shear_exists(rows, d) for d in dirs)
 
 
 # ---------------------------------------------------------------------------
