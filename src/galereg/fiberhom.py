@@ -55,7 +55,7 @@ pass to every superset, so pruning keeps the enumeration complete.  Such
 a point is seen within G_H, since G_H = -G_H holds the lex-least point
 of any closure of degree <= H.  The work is at most one AND of n masks
 per (closed set, candidate point) pair, over the |G_H| points; the
-memory is n (H + 1) masks of |G_H| bits.  The grid (:func:`gh_grid`) is
+memory is n (H + 1) masks of |G_H| bits, capped at MASK_CAP bits.  The grid (:func:`gh_grid`) is
 shared with the syzygy-quadrangle scan, which runs over G_T for its
 degree bound T.  It is int64, behind an exact bound on every b_i . u
 and f(u) over the bounding box, and the box is capped at GRID_CAP
@@ -101,6 +101,7 @@ from .zlattice import Lattice, is_nondegenerate, lattice_from_basis
 
 _INT64_SAFE = 1 << 62
 GRID_CAP = 1 << 22  # points in the bounding box of G_H; see gh_grid
+MASK_CAP = 1 << 30  # bits in the closure's n (H + 1) masks over G_H (128 MiB); see _live_fibers
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +393,14 @@ def _live_fibers(rows, horizon: int):
     Yields (d, fiber), each fiber a list of exponent tuples, one per
     B-closed set T of Z^2 with lex-least point 0 and degree
     d = sum_i max_T b_i . u <= horizon; see the module docstring.
+    The n (H + 1) masks of |G_H| bits are sized before they are built,
+    and above MASK_CAP bits BadInput carries the estimate.
     """
     _, vals = gh_grid(rows, horizon)
+    bits = len(rows) * (horizon + 1) * len(vals)
+    if bits > MASK_CAP:
+        raise BadInput(f"the closure masks over G_{horizon} need {bits} bits, "
+                       f"above the cap of {MASK_CAP}")
     origin = len(vals) // 2
     # le[j][t]: the bitmask of the points u with b_j . u <= t, t = 0..horizon
     steps = np.arange(horizon + 1)[:, None]

@@ -20,7 +20,10 @@ The first two searches have committed golden records under
 them byte-for-byte.
 
 Results never depend on candidate order: survivors are deduplicated by
-canonical key and sorted before reporting.
+canonical key and sorted before reporting.  The two box searches decide
+their filters and keys once per class of the box's signed-permutation
+symmetry (:func:`_box_orbits`), with the same survivors as deciding
+every candidate.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .fiberhom import degree_and_regularity, hilbert_function
 from .quadrangle import is_cohen_macaulay, is_complete_intersection
 from .zlattice import (
     Lattice,
+    apply_right,
     is_nondegenerate,
     is_saturated,
     lattice_from_basis,
@@ -125,17 +129,22 @@ def _has_rank_two(rows) -> bool:
     return any(base[0] * r[1] - base[1] * r[0] for r in rows)
 
 
+def _key_sorted(reps):
+    """(lattices, keys) of a {(n, key): lattice} map, sorted by (n, key)."""
+    ordered = sorted(reps.items())
+    return (
+        tuple(lat for _, lat in ordered),
+        tuple(key for (_, key), _ in ordered),
+    )
+
+
 def _dedupe_by_key(lattices):
     """One representative per coordinate-permutation class, key-sorted."""
     reps = {}
     for lat in lattices:
         key = permutation_canonical_key(lat)
         reps.setdefault((lat.n, key), lat)
-    ordered = sorted(reps.items())
-    return (
-        tuple(lat for _, lat in ordered),
-        tuple(key for (_, key), _ in ordered),
-    )
+    return _key_sorted(reps)
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +248,28 @@ def _zero_sum_gales(n, max_coord):
     """Multisets of n nonzero box vectors summing to zero, spanning rank 2.
 
     Multisets are produced in non-decreasing lexicographic row order,
-    which is already a canonical choice within each multiset.
+    which is already a canonical choice within each multiset.  The last
+    row is forced to be minus the sum of the others, so it is looked up
+    in an index of the box vectors rather than searched for.
     """
+    if n < 3:  # two vectors summing to zero are parallel
+        return []
     vectors = _box_vectors(max_coord)
+    index = {v: i for i, v in enumerate(vectors)}
     out = []
     rows = []
 
     def extend(start, remaining, sx, sy):
-        if remaining == 0:
-            if sx == 0 and sy == 0 and _has_rank_two(rows):
-                out.append(tuple(rows))
-            return
         if abs(sx) > max_coord * remaining or abs(sy) > max_coord * remaining:
+            return
+        if remaining == 2:
+            for i in range(start, len(vectors)):
+                x, y = vectors[i]
+                last = (-sx - x, -sy - y)
+                if index.get(last, -1) >= i:
+                    gale = (*rows, vectors[i], last)
+                    if _has_rank_two(gale):
+                        out.append(gale)
             return
         for i in range(start, len(vectors)):
             rows.append(vectors[i])
@@ -261,23 +280,71 @@ def _zero_sum_gales(n, max_coord):
     return out
 
 
-def _cm_nonci_candidates(n):
-    """CM non-CI lattices with exactly three quadrics' worth of degree-2
-    fiber deficit, from nonzero Gale vectors with entries bounded by 2."""
-    found = []
-    for rows in _zero_sum_gales(n, 2):
-        lat = lattice_from_gale(rows)
-        if not is_nondegenerate(lat):
-            continue
-        if is_complete_intersection(lat):
-            continue
-        # A nondegenerate lattice ideal has no linear forms, so the
-        # number of quadric generators is binom(n+1, 2) - HF(2).
-        if comb(n + 1, 2) - hilbert_function(lat, 2) != 3:
-            continue
-        if is_cohen_macaulay(lat):
-            found.append(lat)
-    return found
+#: The seven signed permutation matrices other than the identity; with
+#: it they are the symmetries of the box |x|, |y| <= c inside GL_2(Z).
+_BOX_SYMMETRIES = (
+    ((1, 0), (0, -1)), ((-1, 0), (0, 1)), ((-1, 0), (0, -1)),
+    ((0, 1), (1, 0)), ((0, 1), (-1, 0)), ((0, -1), (1, 0)), ((0, -1), (-1, 0)),
+)
+
+
+_UNSEEN = object()
+
+
+def _box_orbits(ns, max_coord, accept):
+    """One lattice per canonical key among the accepted box candidates.
+
+    The candidates are :func:`_zero_sum_gales` for each n in ``ns``;
+    ``accept`` must be a property of the lattice up to coordinate
+    permutation.  Returns (reps, keys, count): reps sorted by
+    (n, canonical key), each the first accepted candidate of its key in
+    enumeration order, and the number of accepted candidates.
+
+    Each signed permutation matrix U maps the box onto itself, so
+    rows * U, re-sorted, is another candidate of the same enumeration;
+    it spans the same lattice as rows (U is unimodular) up to a
+    permutation of the coordinates, so it has the same verdict and the
+    same key.  The first member of each such class in enumeration order
+    is decided, and its verdict (the key, or None when rejected) is
+    stored for its other members, each popped when the enumeration
+    reaches it, so only classes with members still ahead take memory.
+    The first accepted candidate of a key is always the
+    first member of its class, so the reps are those of keying every
+    candidate.  An image the enumeration never reaches is a bug, and
+    raises InternalInconsistency.
+    """
+    reps = {}
+    count = 0
+    for n in ns:
+        pending = {}
+        for rows in _zero_sum_gales(n, max_coord):
+            key = pending.pop(rows, _UNSEEN)
+            if key is _UNSEEN:
+                lat = Lattice(rows)
+                key = permutation_canonical_key(lat) if accept(lat) else None
+                if key is not None:
+                    reps.setdefault((n, key), lat)
+                for u in _BOX_SYMMETRIES:
+                    image = tuple(sorted(apply_right(r, u) for r in rows))
+                    if image != rows:
+                        pending[image] = key
+            count += key is not None
+        if pending:
+            raise InternalInconsistency(
+                f"{len(pending)} box images with n = {n} were never enumerated")
+    return (*_key_sorted(reps), count)
+
+
+def _is_cm_nonci_candidate(lat):
+    """CM non-CI with exactly three quadrics' worth of degree-2 fiber
+    deficit."""
+    if not is_nondegenerate(lat) or is_complete_intersection(lat):
+        return False
+    # A nondegenerate lattice ideal has no linear forms, so the
+    # number of quadric generators is binom(n+1, 2) - HF(2).
+    if comb(lat.n + 1, 2) - hilbert_function(lat, 2) != 3:
+        return False
+    return is_cohen_macaulay(lat)
 
 
 def search_cm_nonci(max_n=6) -> SearchReport:
@@ -291,8 +358,7 @@ def search_cm_nonci(max_n=6) -> SearchReport:
     which the canonical key realizes.
     """
     start = time.perf_counter()
-    candidates = [lat for n in range(3, max_n + 1) for lat in _cm_nonci_candidates(n)]
-    reps, keys = _dedupe_by_key(candidates)
+    reps, keys, _ = _box_orbits(range(3, max_n + 1), 2, _is_cm_nonci_candidate)
     kept = [(lat, key) for lat, key in zip(reps, keys) if classify_cm_nonci(lat)]
     found = tuple(lat for lat, _ in kept)
     return SearchReport(
@@ -318,14 +384,9 @@ def sweep_orbits(max_n=6, max_coord=2):
     (unimodular basis change + coordinate permutation), sorted by
     (ambient dimension, canonical key).
     """
-    candidates = []
-    for n in range(3, max_n + 1):
-        for rows in _zero_sum_gales(n, max_coord):
-            lat = lattice_from_gale(rows)
-            if is_saturated(lat) and is_nondegenerate(lat):
-                candidates.append(lat)
-    reps, _ = _dedupe_by_key(candidates)
-    return reps, len(candidates)
+    reps, _, count = _box_orbits(
+        range(3, max_n + 1), max_coord, lambda lat: is_saturated(lat) and is_nondegenerate(lat))
+    return reps, count
 
 
 def consistency_sweep(max_n=6, max_coord=2) -> SweepReport:

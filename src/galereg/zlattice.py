@@ -167,12 +167,31 @@ def contains(lattice: Lattice, target) -> bool:
     return all(dot2(r, x) == t for r, t in zip(rows, target))
 
 
+def _line(v):
+    """The primitive direction of a nonzero vector, up to sign."""
+    p = primitive_part(v)
+    return max(p, (-p[0], -p[1]))
+
+
 def is_nondegenerate(lattice: Lattice) -> bool:
-    """True when no difference e_i - e_j of unit vectors lies in the lattice."""
-    n = lattice.n
-    for i, j in combinations(range(n), 2):
-        target = tuple(1 if k == i else -1 if k == j else 0 for k in range(n))
-        if contains(lattice, target):
+    """True when no difference e_i - e_j of unit vectors lies in the lattice.
+
+    Closed form: e_i - e_j = B x for some x in Z^2 exactly when the other
+    n - 2 rows lie on one line through 0, with primitive direction v,
+    and |det(v, b_i)| = 1.  Proof: b_k . x = 0 for every k other than
+    i, j.  Those rows are not all zero, or else b_j = -b_i and B would
+    have rank below 2; so they span one line Z v, and x lies in
+    Z rot90(v), the integer points of its orthogonal line.  Then
+    b_i . x = 1 is solvable exactly when |det(v, b_i)| = 1, and
+    b_j . x = -b_i . x follows from sum_k b_k = 0.  So the lattice is
+    degenerate exactly when, for the direction v of some nonzero row,
+    exactly two rows lie off the line through v, at |det(v, b)| = 1
+    (their dets are opposite).
+    """
+    rows = lattice.rows
+    for v in {_line(r) for r in rows if r != (0, 0)}:
+        off = [d for d in (det2(v, r) for r in rows) if d]
+        if len(off) == 2 and abs(off[0]) == 1:
             return False
     return True
 
@@ -309,13 +328,7 @@ def permutation_canonical_key(lattice: Lattice) -> tuple:
 
 def lies_on_two_lines(vectors) -> bool:
     """True when all nonzero vectors sit on at most two lines through 0."""
-    dirs = set()
-    for v in vectors:
-        if tuple(v) == (0, 0):
-            continue
-        p = primitive_part(tuple(v))
-        dirs.add(max(p, (-p[0], -p[1])))
-    return len(dirs) <= 2
+    return len({_line(tuple(v)) for v in vectors if tuple(v) != (0, 0)}) <= 2
 
 
 def hits_all_open_quadrants(vectors) -> bool:

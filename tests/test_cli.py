@@ -114,6 +114,15 @@ def test_analyze_refuses_a_grid_above_the_cap(capsys, monkeypatch, flags):
     assert f"above the cap of {fiberhom.GRID_CAP}" in doc["error"]["message"]
 
 
+def test_analyze_refuses_closure_masks_above_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(fiberhom, "MASK_CAP", 0)
+    fiberhom._table.cache_clear()  # an earlier test may hold this table
+    code, doc = run(capsys, "analyze", "--A", A_TWISTED_CUBIC)
+    assert code == 2
+    assert doc["error"]["type"] == "BadInput"
+    assert "bits, above the cap of 0" in doc["error"]["message"]
+
+
 def test_analyze_degenerate(capsys):
     code, doc = run(
         capsys, "analyze", "--A", "[[1,0,0,1,0],[0,1,1,0,1],[1,1,1,0,0]]"

@@ -115,6 +115,17 @@ def test_grid_box_is_capped_before_allocation(monkeypatch):
         fiberhom.gh_grid(((1, 0), (0, 1), (-1, -1)), 2000)
 
 
+def test_closure_masks_are_capped_before_allocation(monkeypatch):
+    # n (H + 1) masks of |G_H| bits: one bit over the cap refuses before
+    # any mask is packed, and the message carries the estimate
+    rows, horizon = n4_family(9).rows, 11
+    bits = len(rows) * (horizon + 1) * len(fiberhom.gh_grid(rows, horizon)[1])
+    monkeypatch.setattr(fiberhom, "MASK_CAP", bits - 1)
+    monkeypatch.setattr(fiberhom.np, "packbits", None)
+    with pytest.raises(BadInput, match=f"need {bits} bits, above the cap of {bits - 1}"):
+        next(fiberhom._live_fibers(rows, horizon))
+
+
 # the 6-vertex real projective plane: acyclic over Q, not over GF(2)
 RP2_FACETS = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
               (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5))

@@ -1,7 +1,7 @@
 """Property-based invariants: equivalence, transforms, Hilbert counts."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import ceil, floor, gcd
 from unittest import mock
 
@@ -200,6 +200,55 @@ def test_kernel_lattices_are_saturated(weights):
         assert contains(lat, b)
         assert sum(b) == 0
         assert sum(b[i] * weights[i] for i in range(n)) == 0
+
+
+# ---------------------------------------------------------------------------
+# nondegeneracy
+
+
+def nondegenerate_by_membership(lattice):
+    """The definition: no difference e_i - e_j of unit vectors lies in L."""
+    n = lattice.n
+    return not any(
+        contains(lattice, tuple((k == i) - (k == j) for k in range(n)))
+        for i, j in combinations(range(n), 2)
+    )
+
+
+@st.composite
+def collinear_rows(draw):
+    """Gale diagrams with n <= 8, half of them with n - 2 rows on one line.
+
+    The line's rows are multiples of a primitive v, zero included; one
+    more row is free and the last balances the sum.  Scaling every first
+    coordinate by 2 or 3 makes the lattice non-saturated.
+    """
+    n = draw(st.integers(min_value=3, max_value=8))
+    if draw(st.booleans()):
+        v = draw(st.sampled_from(((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2), (3, 2))))
+        ks = draw(st.lists(st.integers(-2, 2), min_size=n - 2, max_size=n - 2))
+        head = [(k * v[0], k * v[1]) for k in ks] + [draw(vectors)]
+    else:
+        head = [draw(vectors) for _ in range(n - 1)]
+    scale = draw(st.integers(min_value=1, max_value=3))
+    head = [(scale * x, y) for x, y in head]
+    last = (-sum(v[0] for v in head), -sum(v[1] for v in head))
+    rows = draw(st.permutations(head + [last]))
+    try:
+        lattice_from_gale(rows)
+    except GaleregError:
+        assume(False)
+    return tuple(rows)
+
+
+@settings(deadline=None, max_examples=300)
+@given(collinear_rows())
+@example(((1, 0), (2, 0), (0, 1), (-3, -1)))  # |det| = 1: degenerate
+@example(((1, 0), (2, 0), (0, 2), (-3, -2)))  # |det| = 2: nondegenerate
+@example(((0, 0), (1, 0), (0, 1), (-1, -1)))  # a zero row lies on every line
+def test_closed_form_nondegeneracy_matches_membership(rows):
+    lat = lattice_from_gale(rows)
+    assert is_nondegenerate(lat) == nondegenerate_by_membership(lat)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Finite searches, golden records, and the consistency sweep."""
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -9,8 +10,12 @@ from galereg.errors import InternalInconsistency, UnknownSearch
 from galereg.searches import (
     CM_NONCI_DIAGRAMS,
     SearchReport,
+    _box_orbits,
+    _box_vectors,
     _ci_candidates,
     _dedupe_by_key,
+    _has_rank_two,
+    _zero_sum_gales,
     check_golden,
     consistency_sweep,
     golden_payload,
@@ -20,7 +25,12 @@ from galereg.searches import (
     search_cm_nonci,
     sweep_orbits,
 )
-from galereg.zlattice import is_saturated, lattice_from_gale, permutation_canonical_key
+from galereg.zlattice import (
+    is_nondegenerate,
+    is_saturated,
+    lattice_from_gale,
+    permutation_canonical_key,
+)
 
 
 def table_keys(max_n):
@@ -170,3 +180,52 @@ def test_consistency_sweep_empty_box():
     assert report.orbit_count == 0
     assert report.candidate_count == 0
     assert report.mismatches == ()
+
+
+# ---------------------------------------------------------------------------
+# box enumeration and the symmetry-class pass
+
+
+@pytest.mark.parametrize("max_coord", [1, 2])
+def test_zero_sum_gales_match_brute_force(max_coord):
+    vectors = _box_vectors(max_coord)
+    for n in range(1, 6):
+        brute = [
+            rows for rows in combinations_with_replacement(vectors, n)
+            if sum(x for x, _ in rows) == sum(y for _, y in rows) == 0 and _has_rank_two(rows)
+        ]
+        assert _zero_sum_gales(n, max_coord) == brute
+
+
+def key_every_candidate(max_n, max_coord):
+    """The sweep without symmetry classes: filter and key each candidate."""
+    reps = {}
+    count = 0
+    for n in range(3, max_n + 1):
+        for rows in _zero_sum_gales(n, max_coord):
+            lat = lattice_from_gale(rows)
+            if is_saturated(lat) and is_nondegenerate(lat):
+                count += 1
+                reps.setdefault((n, permutation_canonical_key(lat)), lat)
+    return tuple(lat for _, lat in sorted(reps.items())), count
+
+
+@pytest.mark.parametrize("box", [(5, 2), (6, 2)])
+def test_sweep_orbits_match_keying_every_candidate(box):
+    assert sweep_orbits(*box) == key_every_candidate(*box)
+
+
+def test_sweep_box_seven_by_two_counts():
+    reps, candidates = sweep_orbits(7, 2)
+    assert candidates == 18816
+    assert len(reps) == 1775
+    assert sum(lat.n == 7 for lat in reps) == 1380
+
+
+def test_box_orbits_refuse_an_image_never_enumerated(monkeypatch):
+    import galereg.searches as searches
+
+    full = searches._zero_sum_gales
+    monkeypatch.setattr(searches, "_zero_sum_gales", lambda n, c: full(n, c)[:-1])
+    with pytest.raises(InternalInconsistency, match="never enumerated"):
+        _box_orbits(range(3, 5), 2, is_saturated)
