@@ -80,9 +80,19 @@ classes are keyed with big integers instead.  OR-ing each monomial's
 bitmask of zero coordinates over its class finds the cone classes,
 which are pruned.  The same counting gives the Hilbert function.
 
-The homology of each non-cone fiber is memoized on its strong-collapse
-core (same homotopy type, far fewer distinct complexes), the
-homological top and the field.
+The homology of each non-cone fiber is memoized on its labelled
+support complex, keyed by the complex's face set: one 2^n-bit int with
+bit S set exactly when S is a face (:func:`_face_key`), so two fibers
+share a key exactly when their complexes are equal.  On a miss the
+facets are read off the key, reduced to their strong-collapse core
+(same homotopy type, far fewer distinct complexes), and ranked through
+a second memo on the core, the homological top and the field.  The
+4,096 face keys take at most 4,096 * 2^n / 8 bytes, 2 MiB at
+n = FACE_KEY_N = 12; above that a key would outweigh its complex, and
+each fiber goes to its core directly.  Whatever still lists monomials
+(the Hilbert counts and the curve spans) counts them first,
+C(T + n, n) through degree T, and refuses more than MONOMIAL_CAP with
+BadInput.
 """
 
 from __future__ import annotations
@@ -102,6 +112,8 @@ from .zlattice import Lattice, is_nondegenerate, lattice_from_basis
 _INT64_SAFE = 1 << 62
 GRID_CAP = 1 << 22  # points in the bounding box of G_H; see gh_grid
 MASK_CAP = 1 << 30  # bits in the closure's n (H + 1) masks over G_H (128 MiB); see _live_fibers
+FACE_KEY_N = 12  # most vertices whose fibers are memoized on their 2^n-bit face set; see _table
+MONOMIAL_CAP = 1 << 21  # monomials of degree <= T listed for Hilbert counts; see _monomial_budget
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +168,19 @@ def _compositions(n: int, d: int):
         arr = right - left - 1
     arr.setflags(write=False)
     return arr
+
+
+def _monomial_budget(n: int, through: int):
+    """Refuse to list the monomials of degree <= through in n variables above MONOMIAL_CAP.
+
+    They number C(through + n, n), which is checked before any of them is
+    allocated; the cap admits C(36, 6), six variables through degree 30,
+    and holds the arrays of :func:`_compositions` to about 2^21 * 8 n bytes.
+    """
+    count = math.comb(max(through + n, 0), n)
+    if count > MONOMIAL_CAP:
+        raise BadInput(f"the monomials of degree <= {through} in {n} variables "
+                       f"number {count}, above the cap of {MONOMIAL_CAP}")
 
 
 def _py_compositions(n, d):
@@ -285,6 +310,48 @@ def _core(masks):
         return (1,)
     kept = [1 << v for v in range(max(facets).bit_length()) if any(f >> v & 1 for f in facets)]
     return tuple(sorted(sum(1 << k for k, b in enumerate(kept) if f & b) for f in facets))
+
+
+@lru_cache(maxsize=16)
+def _bit_masks(n: int):
+    """M_0, ..., M_{n-1} over 2^n bits: bit S of M_i is set exactly when i is in S."""
+    full = (1 << (1 << n)) - 1
+    return tuple((((1 << (1 << i)) - 1) << (1 << i)) * full // ((1 << (2 << i)) - 1)
+                 for i in range(n))
+
+
+def _face_key(masks, n: int) -> int:
+    """The face set of the complex the vertex bitmasks generate, as one 2^n-bit int.
+
+    Bit S is set exactly when S is a face.  The supports are set first,
+    then each shift step i adds S - {i} for every face S holding i;
+    after all n steps the set is closed under taking subsets.
+    """
+    key = 0
+    for s in masks:
+        key |= 1 << s
+    for i, m in enumerate(_bit_masks(n)):
+        key |= (key & m) >> (1 << i)
+    return key
+
+
+@lru_cache(maxsize=4096)
+def _fiber_ranks(key: int, n: int, top: int, field):
+    """Reduced homology ranks (h_0, ..., h_top) of the complex with face set key.
+
+    The facets are the faces S with no face S + {i}: the bits of key
+    outside every (key & M_i) >> 2^i.
+    """
+    covered = 0
+    for i, m in enumerate(_bit_masks(n)):
+        covered |= (key & m) >> (1 << i)
+    facets = key & ~covered
+    masks = []
+    while facets:
+        low = facets & -facets
+        masks.append(low.bit_length() - 1)
+        facets ^= low
+    return _homology_ranks(_core(masks), top, field)
 
 
 @lru_cache(maxsize=1024)
@@ -443,14 +510,19 @@ def _table(rows, horizon: int, field) -> BettiTable:
         fibers = _live_fibers(rows, horizon)
     else:
         ctx = _ctx(rows)
+        _monomial_budget(ctx.n, horizon)
         top = ctx.n - 2
         fibers = ((d, fiber) for d in range(1, horizon + 1)
                   for fiber in _degree_data(ctx, d, True)[1])
-    bits = [1 << i for i in range(len(rows))]
+    n = len(rows)
+    bits = [1 << i for i in range(n)]
     entries = []
     for d, fiber in fibers:
-        core = _core(sum(compress(bits, a)) for a in fiber)
-        h = _homology_ranks(core, top, field)
+        masks = [sum(compress(bits, a)) for a in fiber]
+        if n <= FACE_KEY_N:
+            h = _fiber_ranks(_face_key(masks, n), n, top, field)
+        else:  # a 2^n-bit key would outweigh the complex
+            h = _homology_ranks(_core(masks), top, field)
         entries.extend(BettiEntry(i, min(fiber), d, h[i - 1])
                        for i in range(1, top + 2) if h[i - 1])
     return BettiTable(tuple(sorted(entries, key=_entry_sort_key)), horizon=horizon)
@@ -561,6 +633,7 @@ def hilbert_function(lattice: Lattice, d: int) -> int:
     """Number of fiber classes of total degree d (the Hilbert function of S/I_L)."""
     if d < 0:
         return 0
+    _monomial_budget(lattice.n, d)
     count, _ = _degree_data(_ctx(lattice.rows), d, False)
     return count
 
@@ -618,6 +691,7 @@ def hilbert_numerator(lattice: Lattice, through: int):
     """Coefficients of the Hilbert series numerator up to the given degree."""
     rows = lattice.rows
     n = len(rows)
+    _monomial_budget(n, through)
     ctx = _ctx(rows)
     hf = []
     while len(hf) <= through:

@@ -20,10 +20,11 @@ The first two searches have committed golden records under
 them byte-for-byte.
 
 Results never depend on candidate order: survivors are deduplicated by
-canonical key and sorted before reporting.  The two box searches decide
-their filters and keys once per class of the box's signed-permutation
-symmetry (:func:`_box_orbits`), with the same survivors as deciding
-every candidate.
+canonical key and sorted before reporting.  Each search decides its
+filters and keys once per class of a symmetry of its candidates, with
+the same survivors as deciding every candidate: coordinate permutations
+of quadric pairs (:func:`_ci_classes`), and the box's signed
+permutations (:func:`_box_orbits`).
 """
 
 from __future__ import annotations
@@ -138,15 +139,6 @@ def _key_sorted(reps):
     )
 
 
-def _dedupe_by_key(lattices):
-    """One representative per coordinate-permutation class, key-sorted."""
-    reps = {}
-    for lat in lattices:
-        key = permutation_canonical_key(lat)
-        reps.setdefault((lat.n, key), lat)
-    return _key_sorted(reps)
-
-
 # ---------------------------------------------------------------------------
 # search 1: complete intersections of two quadrics with maximal regularity
 
@@ -178,22 +170,37 @@ def _quadric_vectors(n):
     return out
 
 
-def _ci_candidates(n):
-    """Nondegenerate complete-intersection lattices spanned by two
-    quadric vectors whose supports cover all n coordinates."""
+def _ci_classes(n):
+    """The nondegenerate complete intersections spanned by two quadric
+    vectors whose supports cover all n coordinates, as
+    {canonical key: first lattice of that key in enumeration order}.
+
+    A coordinate permutation maps a pair (u, v) onto a pair of the same
+    enumeration, up to order, and the spanned lattices onto each other,
+    so the class min(sorted(zip(u, v)), sorted(zip(v, u))) fixes the
+    tests and the key.  Only the first member of each class in
+    enumeration order is tested and keyed.  The first candidate of a
+    key is the first member of its class, so the lattices are those of
+    keying every candidate.
+    """
     vectors = _quadric_vectors(n)
     full = (1 << n) - 1
-    found = []
+    seen = set()
+    reps = {}
     for (u, mu), (v, mv) in combinations(vectors, 2):
         if mu | mv != full:
             continue
+        cls = min(tuple(sorted(zip(u, v))), tuple(sorted(zip(v, u))))
+        if cls in seen:
+            continue
+        seen.add(cls)
         i = next(k for k in range(n) if u[k])
         if all(u[i] * v[k] == v[i] * u[k] for k in range(n)):
             continue
         lat = lattice_from_basis((u, v))
         if is_nondegenerate(lat) and is_complete_intersection(lat):
-            found.append(lat)
-    return found
+            reps.setdefault(permutation_canonical_key(lat), lat)
+    return reps
 
 
 def _two_quadrics_maximal(lat: Lattice) -> bool:
@@ -216,8 +223,7 @@ def search_ci_table(ns=range(3, 9)) -> SearchReport:
     coordinate permutation.
     """
     start = time.perf_counter()
-    candidates = [lat for n in ns for lat in _ci_candidates(n)]
-    reps, keys = _dedupe_by_key(candidates)
+    reps, keys = _key_sorted({(n, key): lat for n in ns for key, lat in _ci_classes(n).items()})
     kept = [(lat, key) for lat, key in zip(reps, keys) if _two_quadrics_maximal(lat)]
     found = tuple(lat for lat, _ in kept)
     return SearchReport(

@@ -123,6 +123,16 @@ def test_analyze_refuses_closure_masks_above_the_cap(capsys, monkeypatch):
     assert "bits, above the cap of 0" in doc["error"]["message"]
 
 
+def test_analyze_fast_refuses_hilbert_counts_above_the_cap(capsys, monkeypatch):
+    # the twisted cubic is Cohen-Macaulay and not a complete intersection,
+    # so --fast reads its regularity off the Hilbert counts
+    monkeypatch.setattr(fiberhom, "MONOMIAL_CAP", 0)
+    code, doc = run(capsys, "analyze", "--A", A_TWISTED_CUBIC, "--fast")
+    assert code == 2
+    assert doc["error"]["type"] == "BadInput"
+    assert "above the cap of 0" in doc["error"]["message"]
+
+
 def test_analyze_degenerate(capsys):
     code, doc = run(
         capsys, "analyze", "--A", "[[1,0,0,1,0],[0,1,1,0,1],[1,1,1,0,0]]"

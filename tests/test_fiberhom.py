@@ -1,6 +1,7 @@
 """Fiber homology oracle: Betti tables, Hilbert data, polytopes."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -124,6 +125,48 @@ def test_closure_masks_are_capped_before_allocation(monkeypatch):
     monkeypatch.setattr(fiberhom.np, "packbits", None)
     with pytest.raises(BadInput, match=f"need {bits} bits, above the cap of {bits - 1}"):
         next(fiberhom._live_fibers(rows, horizon))
+
+
+def test_hilbert_counts_are_capped_before_allocation(monkeypatch):
+    # six variables through degree 40 list C(46, 6) monomials; the estimate
+    # alone refuses them, so no composition is built and numpy is never reached
+    monkeypatch.setattr(fiberhom, "_compositions", None)
+    monkeypatch.setattr(fiberhom, "np", None)
+    lat = lattice_from_gale([(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)])
+    message = f"number {comb(46, 6)}, above the cap of {fiberhom.MONOMIAL_CAP}"
+    with pytest.raises(BadInput, match=message):
+        hilbert_numerator(lat, 40)
+    with pytest.raises(BadInput, match=message):
+        hilbert_function(lat, 40)
+
+
+def test_monomial_cap_admits_six_variables_through_degree_30():
+    fiberhom._monomial_budget(6, 30)  # C(36, 6) = 1,947,792
+    with pytest.raises(BadInput, match=f"number {comb(37, 6)}"):
+        fiberhom._monomial_budget(6, 31)
+
+
+def test_curve_oracle_counts_its_monomials_before_listing(monkeypatch):
+    # the rank-3 branch of _table meets the same budget before grouping
+    columns = [(1, -2, 1, 0, 0), (0, 1, -2, 1, 0), (0, 0, 1, -2, 1)]
+    rows, horizon = tuple(zip(*columns)), 5  # the rational normal quartic, degree 4
+    count = comb(horizon + 5, 5)
+    monkeypatch.setattr(fiberhom, "MONOMIAL_CAP", count - 1)
+    monkeypatch.setattr(fiberhom, "_compositions", None)
+    with pytest.raises(BadInput, match=f"number {count}, above the cap of {count - 1}"):
+        fiberhom._table.__wrapped__(rows, horizon, None)
+
+
+def test_wide_fibers_skip_the_face_key(monkeypatch):
+    # 16 Gale vectors: one key would take 2^16 bits, so above FACE_KEY_N
+    # the fibers go to their cores directly, with the same table
+    rows = lattice_from_gale([(1, 0)] * 4 + [(-1, 0)] * 4 + [(0, 1)] * 4 + [(0, -1)] * 4).rows
+    monkeypatch.setattr(fiberhom, "FACE_KEY_N", 16)
+    keyed = fiberhom._table.__wrapped__(rows, 18, None)
+    monkeypatch.setattr(fiberhom, "FACE_KEY_N", 15)
+    monkeypatch.setattr(fiberhom, "_face_key", None)
+    assert fiberhom._table.__wrapped__(rows, 18, None) == keyed
+    assert [(e.i, e.total_degree) for e in keyed.entries] == [(1, 4), (1, 4), (2, 8)]
 
 
 # the 6-vertex real projective plane: acyclic over Q, not over GF(2)

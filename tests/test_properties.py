@@ -411,6 +411,48 @@ def test_core_has_the_homology_of_the_complex(masks):
                 == fiberhom._homology_ranks.__wrapped__(full, 3, field))
 
 
+def brute_faces(masks):
+    """Every subset of every support, as a set of bitmasks."""
+    faces = set()
+    for m in masks:
+        sub = m
+        while True:
+            faces.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & m
+    return faces
+
+
+@st.composite
+def support_masks(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    masks = draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1),
+                          min_size=1, max_size=10))
+    return n, masks
+
+
+@settings(deadline=None, max_examples=200)
+@given(support_masks(), st.randoms(use_true_random=False))
+@example((6, list(RP2)), None)
+def test_face_key_memo_has_the_homology_of_the_complex(case, rng):
+    """The face-set key is the down-closure, and its memo has the homology
+    of the complex, over Q and GF(2)."""
+    n, masks = case
+    faces = brute_faces(masks)
+    key = fiberhom._face_key(masks, n)
+    assert key == sum(1 << f for f in faces)
+    if rng is not None:
+        # order, duplicates and non-maximal supports leave the key alone
+        extra = [m & rng.randrange(1 << n) or m for m in masks] + masks[:3]
+        rng.shuffle(extra)
+        assert fiberhom._face_key(masks + extra, n) == key
+    facets = tuple(sorted(f for f in faces if f and not any(g != f and g & f == f for g in faces)))
+    for field in (None, 2):
+        assert (fiberhom._fiber_ranks(key, n, 3, field)
+                == fiberhom._homology_ranks.__wrapped__(facets, 3, field))
+
+
 @settings(deadline=None, max_examples=25)
 @given(gale_rows(max_n=4))
 def test_regularity_at_most_degree(rows):

@@ -1,7 +1,7 @@
 """Finite searches, golden records, and the consistency sweep."""
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -12,9 +12,9 @@ from galereg.searches import (
     SearchReport,
     _box_orbits,
     _box_vectors,
-    _ci_candidates,
-    _dedupe_by_key,
+    _ci_classes,
     _has_rank_two,
+    _quadric_vectors,
     _zero_sum_gales,
     check_golden,
     consistency_sweep,
@@ -25,9 +25,12 @@ from galereg.searches import (
     search_cm_nonci,
     sweep_orbits,
 )
+from galereg.intlinalg import mat_rank
+from galereg.quadrangle import is_complete_intersection
 from galereg.zlattice import (
     is_nondegenerate,
     is_saturated,
+    lattice_from_basis,
     lattice_from_gale,
     permutation_canonical_key,
 )
@@ -56,15 +59,41 @@ def test_ci_search_small_sizes():
         assert is_saturated(lat) == expected[key]
 
 
+def every_ci_candidate(n):
+    """Every covering quadric pair spanning a nondegenerate complete
+    intersection, each tested on its own, in enumeration order."""
+    out = []
+    for (u, mu), (v, mv) in combinations(_quadric_vectors(n), 2):
+        if mu | mv == (1 << n) - 1 and mat_rank([u, v]) == 2:
+            lat = lattice_from_basis((u, v))
+            if is_nondegenerate(lat) and is_complete_intersection(lat):
+                out.append(lat)
+    return out
+
+
+def first_of_each_key(lattices):
+    reps = {}
+    for lat in lattices:
+        reps.setdefault(permutation_canonical_key(lat), lat)
+    return reps
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_ci_classes_match_keying_every_candidate(n):
+    reps = _ci_classes(n)
+    expected = first_of_each_key(every_ci_candidate(n))
+    assert list(reps) == list(expected)
+    assert [lat.rows for lat in reps.values()] == [lat.rows for lat in expected.values()]
+
+
 def test_ci_search_order_independent():
-    candidates = [lat for n in range(3, 5) for lat in _ci_candidates(n)]
-    base_reps, base_keys = _dedupe_by_key(candidates)
-    shuffled = list(candidates)
-    random.Random(7).shuffle(shuffled)
-    reps, keys = _dedupe_by_key(shuffled)
-    assert keys == base_keys
-    assert [lat.n for lat in reps] == [lat.n for lat in base_reps]
-    assert [is_saturated(lat) for lat in reps] == [is_saturated(lat) for lat in base_reps]
+    candidates = [lat for n in range(3, 5) for lat in every_ci_candidate(n)]
+    random.Random(7).shuffle(candidates)
+    shuffled = first_of_each_key(candidates)
+    reps = {key: lat for n in range(3, 5) for key, lat in _ci_classes(n).items()}
+    assert set(reps) == set(shuffled)
+    for key, lat in reps.items():
+        assert is_saturated(shuffled[key]) == is_saturated(lat)
 
 
 # ---------------------------------------------------------------------------
