@@ -81,18 +81,17 @@ bitmask of zero coordinates over its class finds the cone classes,
 which are pruned.  The same counting gives the Hilbert function.
 
 The homology of each non-cone fiber is memoized on its labelled
-support complex, keyed by the complex's face set: one 2^n-bit int with
-bit S set exactly when S is a face (:func:`_face_key`), so two fibers
-share a key exactly when their complexes are equal.  On a miss the
-facets are read off the key, reduced to their strong-collapse core
-(same homotopy type, far fewer distinct complexes), and ranked through
-a second memo on the core, the homological top and the field.  The
-4,096 face keys take at most 4,096 * 2^n / 8 bytes, 2 MiB at
-n = FACE_KEY_N = 12; above that a key would outweigh its complex, and
-each fiber goes to its core directly.  Whatever still lists monomials
-(the Hilbert counts and the curve spans) counts them first,
-C(T + n, n) through degree T, and refuses more than MONOMIAL_CAP with
-BadInput.
+support complex, keyed by the sorted tuple of its facets (the
+inclusion-maximal supports, :func:`_maximal`), which fixes the complex
+exactly, so two fibers share a key exactly when their complexes are
+equal.  A key holds at most C(n, n // 2) facets (Sperner), so it grows
+with the complex, not with 2^n.  On a miss the facets are reduced to
+their strong-collapse core (same homotopy type, far fewer distinct
+complexes) and ranked through a second memo on the core, the
+homological top and the field.  Whatever still lists monomials (the
+Hilbert counts and the curve spans) counts them first, C(T + n, n)
+through degree T or C(d + n - 1, n - 1) in degree d alone, and refuses
+more than MONOMIAL_CAP with BadInput.
 """
 
 from __future__ import annotations
@@ -112,8 +111,7 @@ from .zlattice import Lattice, is_nondegenerate, lattice_from_basis
 _INT64_SAFE = 1 << 62
 GRID_CAP = 1 << 22  # points in the bounding box of G_H; see gh_grid
 MASK_CAP = 1 << 30  # bits in the closure's n (H + 1) masks over G_H (128 MiB); see _live_fibers
-FACE_KEY_N = 12  # most vertices whose fibers are memoized on their 2^n-bit face set; see _table
-MONOMIAL_CAP = 1 << 21  # monomials of degree <= T listed for Hilbert counts; see _monomial_budget
+MONOMIAL_CAP = 1 << 21  # monomials listed for Hilbert counts and curve spans; see _monomial_budget
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +168,21 @@ def _compositions(n: int, d: int):
     return arr
 
 
-def _monomial_budget(n: int, through: int):
-    """Refuse to list the monomials of degree <= through in n variables above MONOMIAL_CAP.
+def _monomial_budget(n: int, d: int, cumulative: bool = True):
+    """Refuse to list more than MONOMIAL_CAP monomials in n variables.
 
-    They number C(through + n, n), which is checked before any of them is
-    allocated; the cap admits C(36, 6), six variables through degree 30,
-    and holds the arrays of :func:`_compositions` to about 2^21 * 8 n bytes.
+    Cumulatively, through degree d, they number C(d + n, n); in degree
+    d alone, C(d + n - 1, n - 1).  The count is checked before
+    any of them is allocated; the cap admits C(36, 6), six variables
+    through degree 30, and holds the arrays of :func:`_compositions` to
+    about 2^21 * 8 n bytes.
     """
-    count = math.comb(max(through + n, 0), n)
+    if cumulative:
+        count, what = math.comb(max(d + n, 0), n), f"degree <= {d}"
+    else:
+        count, what = math.comb(max(d + n - 1, 0), n - 1), f"degree {d}"
     if count > MONOMIAL_CAP:
-        raise BadInput(f"the monomials of degree <= {through} in {n} variables "
+        raise BadInput(f"the monomials of {what} in {n} variables "
                        f"number {count}, above the cap of {MONOMIAL_CAP}")
 
 
@@ -276,12 +279,19 @@ def _degree_data(ctx: _Ctx, d: int, want_groups: bool):
 
 
 def _maximal(masks):
-    """The inclusion-maximal vertex bitmasks among masks."""
+    """The inclusion-maximal vertex bitmasks among masks, as a sorted tuple.
+
+    Two sets of masks generate the same complex exactly when their
+    maximal masks agree, so the tuple keys the labelled complex.
+    """
     out = []
     for m in sorted(set(masks), key=int.bit_count, reverse=True):
-        if all(m & f != m for f in out):
+        for f in out:
+            if m & f == m:
+                break
+        else:
             out.append(m)
-    return out
+    return tuple(sorted(out))
 
 
 def _core(masks):
@@ -312,46 +322,14 @@ def _core(masks):
     return tuple(sorted(sum(1 << k for k, b in enumerate(kept) if f & b) for f in facets))
 
 
-@lru_cache(maxsize=16)
-def _bit_masks(n: int):
-    """M_0, ..., M_{n-1} over 2^n bits: bit S of M_i is set exactly when i is in S."""
-    full = (1 << (1 << n)) - 1
-    return tuple((((1 << (1 << i)) - 1) << (1 << i)) * full // ((1 << (2 << i)) - 1)
-                 for i in range(n))
-
-
-def _face_key(masks, n: int) -> int:
-    """The face set of the complex the vertex bitmasks generate, as one 2^n-bit int.
-
-    Bit S is set exactly when S is a face.  The supports are set first,
-    then each shift step i adds S - {i} for every face S holding i;
-    after all n steps the set is closed under taking subsets.
-    """
-    key = 0
-    for s in masks:
-        key |= 1 << s
-    for i, m in enumerate(_bit_masks(n)):
-        key |= (key & m) >> (1 << i)
-    return key
-
-
 @lru_cache(maxsize=4096)
-def _fiber_ranks(key: int, n: int, top: int, field):
-    """Reduced homology ranks (h_0, ..., h_top) of the complex with face set key.
+def _fiber_ranks(facets, top: int, field):
+    """Reduced homology ranks (h_0, ..., h_top) of the complex with these facets.
 
-    The facets are the faces S with no face S + {i}: the bits of key
-    outside every (key & M_i) >> 2^i.
+    The facets come from :func:`_maximal`, one key per labelled complex,
+    so each complex is cored and ranked once.
     """
-    covered = 0
-    for i, m in enumerate(_bit_masks(n)):
-        covered |= (key & m) >> (1 << i)
-    facets = key & ~covered
-    masks = []
-    while facets:
-        low = facets & -facets
-        masks.append(low.bit_length() - 1)
-        facets ^= low
-    return _homology_ranks(_core(masks), top, field)
+    return _homology_ranks(_core(facets), top, field)
 
 
 @lru_cache(maxsize=1024)
@@ -514,15 +492,10 @@ def _table(rows, horizon: int, field) -> BettiTable:
         top = ctx.n - 2
         fibers = ((d, fiber) for d in range(1, horizon + 1)
                   for fiber in _degree_data(ctx, d, True)[1])
-    n = len(rows)
-    bits = [1 << i for i in range(n)]
+    bits = [1 << i for i in range(len(rows))]
     entries = []
     for d, fiber in fibers:
-        masks = [sum(compress(bits, a)) for a in fiber]
-        if n <= FACE_KEY_N:
-            h = _fiber_ranks(_face_key(masks, n), n, top, field)
-        else:  # a 2^n-bit key would outweigh the complex
-            h = _homology_ranks(_core(masks), top, field)
+        h = _fiber_ranks(_maximal(sum(compress(bits, a)) for a in fiber), top, field)
         entries.extend(BettiEntry(i, min(fiber), d, h[i - 1])
                        for i in range(1, top + 2) if h[i - 1])
     return BettiTable(tuple(sorted(entries, key=_entry_sort_key)), horizon=horizon)
@@ -633,7 +606,7 @@ def hilbert_function(lattice: Lattice, d: int) -> int:
     """Number of fiber classes of total degree d (the Hilbert function of S/I_L)."""
     if d < 0:
         return 0
-    _monomial_budget(lattice.n, d)
+    _monomial_budget(lattice.n, d, cumulative=False)
     count, _ = _degree_data(_ctx(lattice.rows), d, False)
     return count
 

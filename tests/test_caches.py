@@ -18,5 +18,5 @@ def test_every_lru_cache_is_bounded():
             if params()["maxsize"] is None:
                 unbounded.add(f"{obj.__module__}.{name}")
     assert {"galereg.fiberhom._table", "galereg.fiberhom._fiber_ranks",
-            "galereg.fiberhom._bit_masks", "galereg.fiberhom._homology_ranks"} <= cached
+            "galereg.fiberhom._homology_ranks"} <= cached
     assert unbounded == set()

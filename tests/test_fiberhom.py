@@ -128,16 +128,27 @@ def test_closure_masks_are_capped_before_allocation(monkeypatch):
 
 
 def test_hilbert_counts_are_capped_before_allocation(monkeypatch):
-    # six variables through degree 40 list C(46, 6) monomials; the estimate
-    # alone refuses them, so no composition is built and numpy is never reached
+    # six variables list C(46, 6) monomials through degree 40 and C(50, 5)
+    # in degree 45 alone; the estimate alone refuses them, so no
+    # composition is built and numpy is never reached
     monkeypatch.setattr(fiberhom, "_compositions", None)
     monkeypatch.setattr(fiberhom, "np", None)
     lat = lattice_from_gale([(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (-1, -1)])
-    message = f"number {comb(46, 6)}, above the cap of {fiberhom.MONOMIAL_CAP}"
-    with pytest.raises(BadInput, match=message):
+    cap = fiberhom.MONOMIAL_CAP
+    with pytest.raises(BadInput, match=f"degree <= 40 .* number {comb(46, 6)}, above the cap of {cap}"):
         hilbert_numerator(lat, 40)
-    with pytest.raises(BadInput, match=message):
-        hilbert_function(lat, 40)
+    with pytest.raises(BadInput, match=f"degree 45 .* number {comb(50, 5)}, above the cap of {cap}"):
+        hilbert_function(lat, 45)
+
+
+def test_hilbert_function_budgets_its_degree_alone(monkeypatch):
+    # degree 40 alone holds C(45, 5) < 2^21 monomials, though C(46, 6) > 2^21
+    # lie through degree 40, so hilbert_function(40) stays under the cap
+    assert comb(45, 5) <= fiberhom.MONOMIAL_CAP < comb(46, 6)
+    fiberhom._monomial_budget(6, 40, cumulative=False)
+    monkeypatch.setattr(fiberhom, "MONOMIAL_CAP", comb(45, 5) - 1)
+    with pytest.raises(BadInput, match=f"degree 40 in 6 variables number {comb(45, 5)}"):
+        fiberhom._monomial_budget(6, 40, cumulative=False)
 
 
 def test_monomial_cap_admits_six_variables_through_degree_30():
@@ -157,16 +168,11 @@ def test_curve_oracle_counts_its_monomials_before_listing(monkeypatch):
         fiberhom._table.__wrapped__(rows, horizon, None)
 
 
-def test_wide_fibers_skip_the_face_key(monkeypatch):
-    # 16 Gale vectors: one key would take 2^16 bits, so above FACE_KEY_N
-    # the fibers go to their cores directly, with the same table
+def test_wide_diagram_fibers_share_the_memo():
+    # 16 Gale vectors: the facet keys grow with the complex, not with 2^16
     rows = lattice_from_gale([(1, 0)] * 4 + [(-1, 0)] * 4 + [(0, 1)] * 4 + [(0, -1)] * 4).rows
-    monkeypatch.setattr(fiberhom, "FACE_KEY_N", 16)
-    keyed = fiberhom._table.__wrapped__(rows, 18, None)
-    monkeypatch.setattr(fiberhom, "FACE_KEY_N", 15)
-    monkeypatch.setattr(fiberhom, "_face_key", None)
-    assert fiberhom._table.__wrapped__(rows, 18, None) == keyed
-    assert [(e.i, e.total_degree) for e in keyed.entries] == [(1, 4), (1, 4), (2, 8)]
+    table = fiberhom._table.__wrapped__(rows, 18, None)
+    assert [(e.i, e.total_degree) for e in table.entries] == [(1, 4), (1, 4), (2, 8)]
 
 
 # the 6-vertex real projective plane: acyclic over Q, not over GF(2)

@@ -435,21 +435,21 @@ def support_masks(draw):
 @settings(deadline=None, max_examples=200)
 @given(support_masks(), st.randoms(use_true_random=False))
 @example((6, list(RP2)), None)
-def test_face_key_memo_has_the_homology_of_the_complex(case, rng):
-    """The face-set key is the down-closure, and its memo has the homology
-    of the complex, over Q and GF(2)."""
+def test_facet_key_memo_has_the_homology_of_the_complex(case, rng):
+    """The facet key is the maximal faces of the down-closure, and its memo
+    has the homology of the complex, over Q and GF(2)."""
     n, masks = case
     faces = brute_faces(masks)
-    key = fiberhom._face_key(masks, n)
-    assert key == sum(1 << f for f in faces)
+    facets = tuple(sorted(f for f in faces if f and not any(g != f and g & f == f for g in faces)))
+    key = fiberhom._maximal(masks)
+    assert key == facets
     if rng is not None:
         # order, duplicates and non-maximal supports leave the key alone
         extra = [m & rng.randrange(1 << n) or m for m in masks] + masks[:3]
         rng.shuffle(extra)
-        assert fiberhom._face_key(masks + extra, n) == key
-    facets = tuple(sorted(f for f in faces if f and not any(g != f and g & f == f for g in faces)))
+        assert fiberhom._maximal(masks + extra) == key
     for field in (None, 2):
-        assert (fiberhom._fiber_ranks(key, n, 3, field)
+        assert (fiberhom._fiber_ranks(key, 3, field)
                 == fiberhom._homology_ranks.__wrapped__(facets, 3, field))
 
 
