@@ -32,9 +32,7 @@ from .errors import (
     WrongRank,
 )
 from .zlattice import (
-    GaleDiagram,
     Lattice,
-    gale_diagram,
     gale_equivalent,
     is_nondegenerate,
     is_saturated,

@@ -45,13 +45,11 @@ from .fiberhom import (
 from .intlinalg import det2, is_visible
 from .quadrangle import is_cohen_macaulay, is_complete_intersection
 from .zlattice import (
-    GaleDiagram,
     Lattice,
     gale_equivalent,
     is_nondegenerate,
     is_saturated,
     lattice_from_gale,
-    lies_on_two_lines,
     permutation_canonical_key,
     strip_zero_coordinates,
 )
@@ -324,10 +322,30 @@ def _n4_family_diagram(d: int):
 
 
 def _match_n4(vs):
-    degree = hilbert_degree(lattice_from_gale(vs))
-    for d in range(3, max(3, degree) + 1):
-        if gale_equivalent(vs, _n4_family_diagram(d), up_to_permutation=True):
-            return "N4_FAMILY", {"d": d}
+    """Match against the n' = 4 family member whose parameter d is the degree.
+
+    The member of parameter d >= 3 has degree d, so no other member can
+    match.  Proof: with b1 = (1, 0), b2 = (-1, 1), b3 = (-1, 1 - d) and
+    b4 = (1, d - 2), :func:`~.fiberhom.hilbert_degree` takes
+    w = (1, K) with K = 1 + max |coordinate| = d, and sums |det(b_i, b_j)|
+    over the pairs whose open cone, the arc shorter than pi between the
+    two vectors, holds w.  By argument in [0, 2pi),
+
+        b1 = 0 < b4 = arctan(d - 2) < w = arctan(d) < b2 = 3pi/4
+           < b3 = pi + arctan(d - 1).
+
+    The cones of {b1, b2} and {b4, b2} are the arcs [0, 3pi/4] and
+    [arctan(d - 2), 3pi/4], which hold w.  Those of {b1, b4} and
+    {b2, b3} end before w or start after it.  b3 lies more than pi
+    after b1 and b4, so the cones of {b1, b3} and {b4, b3} run from b3
+    through 2pi = 0 and stop at b1 or b4, before w.  The degree is
+    therefore |det(b1, b2)| + |det(b4, b2)| = 1 + (d - 1) = d.  A change
+    of basis and a permutation of the coordinates keep the degree, so
+    ``vs`` can only be equivalent to the member with d = deg I_L.
+    """
+    d = hilbert_degree(lattice_from_gale(vs))
+    if d >= 3 and gale_equivalent(vs, _n4_family_diagram(d), up_to_permutation=True):
+        return "N4_FAMILY", {"d": d}
     return None
 
 
@@ -381,8 +399,8 @@ def match_family_forms(vectors):
     """Match 4, 5 or 6 nonzero Gale vectors against the maximal families.
 
     n'=4: equivalent, up to permutation and change of basis, to
-    {(1,0), (-1,1), (-1,-d+1), (1,d-2)} for the d forced by the degree
-    (smallest d >= 3 on ties).  n'=5: {u, v, w, -u, -v-w} with u, v, w
+    {(1,0), (-1,1), (-1,-d+1), (1,d-2)} with d = deg I_L >= 3, the one
+    member of that degree.  n'=5: {u, v, w, -u, -v-w} with u, v, w
     visible, pairwise independent, u != +-(v+w) and det(v, w) = +-1.
     n'=6: {+-u, +-v, +-w} visible, pairwise independent, with (v, w)
     chosen as a pair of determinant +-1.  Returns (case, params) or

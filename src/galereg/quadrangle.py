@@ -7,7 +7,10 @@ vertex of the parallelogram is supported by some row and the pair is a
 *syzygy quadrangle*: it records a minimal third syzygy of the lattice
 ideal, in the fiber class of the vector a with
 
-    a_j = max(0, b_j.v, b_j.w, b_j.(v+w)).
+    a_j = max(0, b_j.v, b_j.w, b_j.(v+w)),
+
+computed by :func:`quadrangle_multidegree`, which the reduction module
+also uses for the quadrangle a reduced diagram gains.
 
 The quadrangles determine Cohen-Macaulayness (none exist iff the ideal
 is Cohen-Macaulay, for non complete intersections) and the regularity
@@ -23,7 +26,10 @@ G_T = {u : sum_j max(0, b_j.u) <= T} whose grid the rank-2 oracle
 builds (:func:`~.fiberhom.gh_grid`).  Negating v or w translates the
 parallelogram and leaves the sector test, |det(v, w)| and the total
 degree unchanged, so the scan pairs only the primitive points of G_T
-after the origin in lex order: one of each pair +-u.
+after the origin in lex order: one of each pair +-u.  No quadrangle
+lies beyond :func:`~.fiberhom.betti_horizon`, so the Cohen-Macaulay
+test, the fast regularity and the unit-square normalization all read
+the one scan up to that horizon.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from .errors import PreconditionCI, PreconditionCM
 from .fiberhom import (FiberClass, betti_horizon, fiber_of, gh_grid, hilbert_degree,
                        reg_deg_via_hilbert)
 from .intlinalg import det2, dot2, primitive_part, rot90, xgcd
-from .zlattice import GaleDiagram, Lattice
+from .zlattice import Lattice
 
 
 @dataclass(frozen=True)
@@ -122,9 +128,14 @@ def is_complete_intersection(lattice: Lattice) -> bool:
     return _is_ci_rows(lattice.rows)
 
 
-def _total_degree(rows, v, w):
+def quadrangle_multidegree(rows, v, w) -> tuple:
+    """The vector a of the parallelogram [v, w] against the diagram ``rows``.
+
+    a_j = max(0, b_j.v, b_j.w, b_j.(v+w)), the largest value of b_j on
+    the four vertices; sum(a) is the quadrangle's total degree.
+    """
     vw = (v[0] + w[0], v[1] + w[1])
-    return sum(max(0, dot2(b, v), dot2(b, w), dot2(b, vw)) for b in rows)
+    return tuple(max(0, dot2(b, v), dot2(b, w), dot2(b, vw)) for b in rows)
 
 
 def _canonical_pair(v, w):
@@ -168,7 +179,7 @@ def _quadrangle_pairs(rows, bound: int):
                 continue
             if abs(det2(v, w)) != 1:
                 continue
-            t = _total_degree(rows, v, w)
+            t = sum(quadrangle_multidegree(rows, v, w))
             if t <= bound:
                 found.append((t, _canonical_pair(v, w)))
     found.sort()
@@ -185,23 +196,29 @@ def enumerate_syzygy_quadrangles(lattice: Lattice, bound: int):
         raise PreconditionCI("quadrangle enumeration requires a non complete intersection")
     out = []
     for total, (v, w) in _quadrangle_pairs(lattice.rows, bound):
-        vw = (v[0] + w[0], v[1] + w[1])
-        a = tuple(max(0, dot2(b, v), dot2(b, w), dot2(b, vw)) for b in lattice.rows)
+        a = quadrangle_multidegree(lattice.rows, v, w)
         out.append(SyzygyQuadrangle(v, w, fiber_of(lattice, a), total))
     return out
+
+
+def _horizon_pairs(lattice: Lattice):
+    """Every syzygy quadrangle class, as :func:`_quadrangle_pairs` lists them.
+
+    No quadrangle lies beyond :func:`~.fiberhom.betti_horizon`, so the
+    scan to it is complete.
+    """
+    return _quadrangle_pairs(lattice.rows, betti_horizon(hilbert_degree(lattice)))
 
 
 def is_cohen_macaulay(lattice: Lattice) -> bool:
     """Whether the lattice ideal is Cohen-Macaulay.
 
     Complete intersections always are; otherwise the ideal is
-    Cohen-Macaulay exactly when it has no syzygy quadrangle, and no
-    quadrangle lies beyond :func:`~.fiberhom.betti_horizon`, so the
-    bounded scan is conclusive.
+    Cohen-Macaulay exactly when it has no syzygy quadrangle.
     """
     if is_complete_intersection(lattice):
         return True
-    return not _quadrangle_pairs(lattice.rows, betti_horizon(hilbert_degree(lattice)))
+    return not _horizon_pairs(lattice)
 
 
 def regularity_fast(lattice: Lattice) -> int:
@@ -213,7 +230,7 @@ def regularity_fast(lattice: Lattice) -> int:
     projective dimension is at most 2.
     """
     if not is_complete_intersection(lattice):
-        quads = _quadrangle_pairs(lattice.rows, betti_horizon(hilbert_degree(lattice)))
+        quads = _horizon_pairs(lattice)
         if quads:
             return quads[-1][0] - 2
     return reg_deg_via_hilbert(lattice)[0]
@@ -226,22 +243,22 @@ def normalize_unit_square(lattice: Lattice):
     """Present the diagram so the unit square attains the regularity.
 
     Picks a syzygy quadrangle [v, w] of maximal total degree
-    (lexicographically smallest canonical pair on ties) and returns the
-    transformed diagram together with the change of basis U, whose
-    columns are v and w, acting on rows by b -> b*U = (b.v, b.w).  When
-    the unit square itself attains the maximum, U is the identity and
-    the diagram is returned unchanged.  Cohen-Macaulay input is
-    rejected: it has no quadrangles to normalize.
+    (lexicographically smallest canonical pair on ties) and returns
+    ``(rows, U)``: the transformed rows, a tuple of integer pairs, and
+    the change of basis U, whose columns are v and w, acting on rows by
+    b -> b*U = (b.v, b.w).  When the unit square itself attains the
+    maximum, U is the identity and the rows are returned unchanged.
+    Cohen-Macaulay input is rejected: it has no quadrangles to
+    normalize.
     """
     if is_cohen_macaulay(lattice):
         raise PreconditionCM("normalization requires a non-Cohen-Macaulay ideal")
-    pairs = _quadrangle_pairs(lattice.rows, betti_horizon(hilbert_degree(lattice)))
+    pairs = _horizon_pairs(lattice)
     max_total = pairs[-1][0]
     attaining = sorted(p for t, p in pairs if t == max_total)
     unit = _canonical_pair((1, 0), (0, 1))
     if unit in attaining:
-        return GaleDiagram(lattice.rows), _IDENTITY
+        return lattice.rows, _IDENTITY
     v, w = attaining[0]
     u = ((v[0], w[0]), (v[1], w[1]))
-    new_rows = tuple((dot2(b, v), dot2(b, w)) for b in lattice.rows)
-    return GaleDiagram(new_rows), u
+    return tuple((dot2(b, v), dot2(b, w)) for b in lattice.rows), u

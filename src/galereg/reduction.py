@@ -15,6 +15,13 @@ exactly one, the support sets governing the associated primes on a
 quadrant pair, and the extra syzygy quadrangle that appears in the
 drop-by-one case.
 
+A diagram is a tuple of integer pairs, the rows of
+:class:`~.zlattice.Lattice`; G_Q is returned the same way.  The
+closed- and open-quadrant tests read one sign table, and the
+multidegree of the extra quadrangle is
+:func:`~.quadrangle.quadrangle_multidegree`, as for every syzygy
+quadrangle.
+
 Quadrants are labelled 1..4 counterclockwise (closed quadrant 1 is
 x >= 0, y >= 0); row indices are 0-based.
 """
@@ -36,8 +43,8 @@ from .errors import (
 )
 from .fiberhom import fiber_of, hilbert_degree
 from .intlinalg import det2, dot2, primitive_part, rot90, xgcd
-from .quadrangle import SyzygyQuadrangle, _total_degree, regularity_fast
-from .zlattice import GaleDiagram, Lattice, hits_all_open_quadrants, lattice_from_gale
+from .quadrangle import SyzygyQuadrangle, quadrangle_multidegree, regularity_fast
+from .zlattice import Lattice, lattice_from_gale
 
 _QUADRANT_SIGNS = {1: (1, 1), 2: (-1, 1), 3: (-1, -1), 4: (1, -1)}
 
@@ -50,6 +57,11 @@ def _in_closed_quadrant(v, label: int) -> bool:
 def _in_open_quadrant(v, label: int) -> bool:
     sx, sy = _QUADRANT_SIGNS[label]
     return sx * v[0] > 0 and sy * v[1] > 0
+
+
+def hits_all_open_quadrants(vectors) -> bool:
+    """True when each of the four open quadrants contains a vector."""
+    return all(any(_in_open_quadrant(v, label) for v in vectors) for label in _QUADRANT_SIGNS)
 
 
 def _admissible_quadrants(v):
@@ -67,11 +79,12 @@ class ReductionDatum:
     ``partition`` holds four tuples of 0-based row indices, class i
     living in the i-th closed quadrant.  Because every open-quadrant
     row can only be assigned to its own class, each class automatically
-    contains an interior vector.
+    contains an interior vector.  ``gale`` repeats ``lattice.rows``; it
+    must equal them and is otherwise unused.
     """
 
     lattice: Lattice
-    gale: GaleDiagram
+    gale: tuple
     partition: tuple
 
     def __post_init__(self):
@@ -85,18 +98,19 @@ class ReductionDatum:
         seen = sorted(i for cls in part for i in cls)
         if seen != list(range(n)):
             raise BadInput("partition must cover every row index exactly once")
+        rows = self.lattice.rows
         for label, cls in zip((1, 2, 3, 4), part):
             for i in cls:
-                if not _in_closed_quadrant(self.gale[i], label):
+                if not _in_closed_quadrant(rows[i], label):
                     raise BadInput(
-                        f"row {i} = {self.gale[i]} is not in closed quadrant {label}"
+                        f"row {i} = {rows[i]} is not in closed quadrant {label}"
                     )
-        if not hits_all_open_quadrants(tuple(self.gale)):
+        if not hits_all_open_quadrants(rows):
             raise NotAllQuadrants("diagram must hit all four open quadrants")
 
     def members(self, label: int):
         """The vectors of class ``label`` (1..4), in index order."""
-        return tuple(self.gale[i] for i in self.partition[label - 1])
+        return tuple(self.lattice.rows[i] for i in self.partition[label - 1])
 
     def to_json_dict(self) -> dict:
         return {
@@ -105,18 +119,17 @@ class ReductionDatum:
         }
 
 
-def enumerate_partitions(gale: GaleDiagram):
-    """All quadrant partitions of the diagram, lexicographically.
+def enumerate_partitions(rows):
+    """All quadrant partitions of the diagram ``rows``, lexicographically.
 
     Interior vectors are forced into their quadrant; axis vectors
     branch over the two closed quadrants containing them and zero
     vectors over all four.  Choices are ordered row-major with quadrant
     labels ascending, so the output order is deterministic.
     """
-    vectors = tuple(gale)
-    if not hits_all_open_quadrants(vectors):
+    if not hits_all_open_quadrants(rows):
         raise NotAllQuadrants("diagram must hit all four open quadrants")
-    choices = [_admissible_quadrants(v) for v in vectors]
+    choices = [_admissible_quadrants(v) for v in rows]
     out = []
     for assignment in product(*choices):
         part = tuple(
@@ -127,33 +140,31 @@ def enumerate_partitions(gale: GaleDiagram):
     return out
 
 
+def _class_sum(datum, labels):
+    """The sum of the vectors in the classes ``labels``."""
+    vs = [v for label in labels for v in datum.members(label)]
+    return (sum(v[0] for v in vs), sum(v[1] for v in vs))
+
+
 def reduced_gale(datum: ReductionDatum):
-    """The four-vector diagram G_Q and its lattice L_Q in Z^4.
+    """``(rows, lattice)``: the four-vector diagram G_Q and L_Q in Z^4.
 
     Row i of G_Q is the sum of class i; it lies strictly inside the
     i-th quadrant because the class does and contains an interior
     vector.
     """
-    rows = []
-    for label in (1, 2, 3, 4):
-        members = datum.members(label)
-        s = (sum(v[0] for v in members), sum(v[1] for v in members))
+    rows = tuple(_class_sum(datum, (label,)) for label in (1, 2, 3, 4))
+    for label, s in zip((1, 2, 3, 4), rows):
         if not _in_open_quadrant(s, label):
             raise InternalInconsistency(
                 f"class {label} sums to {s}, not interior to its quadrant"
             )
-        rows.append(s)
-    return GaleDiagram(tuple(rows)), lattice_from_gale(rows)
+    return rows, lattice_from_gale(rows)
 
 
 def is_perfectly_balanced(datum: ReductionDatum) -> bool:
     """Whether classes 1 u 3 and 2 u 4 each sum to zero."""
-
-    def class_sum(labels):
-        vs = [v for label in labels for v in datum.members(label)]
-        return (sum(v[0] for v in vs), sum(v[1] for v in vs))
-
-    return class_sum((1, 3)) == (0, 0) and class_sum((2, 4)) == (0, 0)
+    return _class_sum(datum, (1, 3)) == (0, 0) and _class_sum(datum, (2, 4)) == (0, 0)
 
 
 @dataclass(frozen=True)
@@ -214,12 +225,7 @@ def is_simple(datum: ReductionDatum, pair):
     i, j = sorted(pair)
     if not {i, j} <= {1, 2, 3, 4} or i == j:
         raise BadInput("pair must be two distinct quadrant labels")
-    total = [0, 0]
-    for label in (i, j):
-        for v in datum.members(label):
-            total[0] += v[0]
-            total[1] += v[1]
-    if tuple(total) != (0, 0):
+    if _class_sum(datum, (i, j)) != (0, 0):
         raise PreconditionUnbalancedPair(f"classes {i} and {j} do not sum to zero")
     witness = _simple_on_side(datum, i, j) or _simple_on_side(datum, j, i)
     return witness is not None, witness
@@ -320,25 +326,23 @@ def support_sets(datum: ReductionDatum, quadrant: int) -> SupportSets:
     if quadrant not in (1, 2, 3, 4):
         raise BadInput("quadrant label must be 1..4")
     j = _opposite(quadrant)
-    mine = list(datum.partition[quadrant - 1])
-    theirs = list(datum.partition[j - 1])
-    by_index = {i: datum.gale[i] for i in mine + theirs}
+    rows = datum.lattice.rows
+    mine = datum.partition[quadrant - 1]
+    pool = mine + datum.partition[j - 1]
     a_set = set()
     b_set = set()
     degenerate = False
     for i1 in mine:
-        for i2 in mine:
+        for i2 in pool:
             if i1 == i2:
                 continue
-            others = [by_index[k] for k in mine + theirs if k not in (i1, i2)]
-            sols, _ = _pair_solutions(by_index[i1], by_index[i2], others)
-            a_set.update(sols)
-    for i1 in mine:
-        for i2 in theirs:
-            others = [by_index[k] for k in mine + theirs if k not in (i1, i2)]
-            sols, line = _pair_solutions(by_index[i1], by_index[i2], others)
-            b_set.update(sols)
-            degenerate = degenerate or line
+            others = [rows[k] for k in pool if k not in (i1, i2)]
+            sols, line = _pair_solutions(rows[i1], rows[i2], others)
+            if i2 in mine:
+                a_set.update(sols)
+            else:
+                b_set.update(sols)
+                degenerate = degenerate or line
     return SupportSets(quadrant, j, frozenset(a_set), frozenset(b_set), degenerate)
 
 
@@ -373,18 +377,17 @@ def degree_preserved(datum: ReductionDatum) -> bool:
     )
 
 
-def _drop_one_pair(datum, pair):
+def _drop_one_witness(datum, pair):
     """The degree-drop criterion for one diagonal pair {i, j}.
 
     The complementary classes must lie on a single line through the
-    origin and the datum must be {i,j}-simple.
+    origin and the datum must be {i,j}-simple; returns the simple
+    witness, or None when either fails.
     """
-    comp = [q for q in (1, 2, 3, 4) if q not in pair]
-    vs = [v for q in comp for v in _nonzero_members(datum, q)]
-    for k in range(1, len(vs)):
-        if det2(vs[0], vs[k]) != 0:
-            return False
-    return is_simple(datum, pair)[0]
+    vs = [v for q in (1, 2, 3, 4) if q not in pair for v in _nonzero_members(datum, q)]
+    if any(det2(vs[0], v) for v in vs[1:]):
+        return None
+    return is_simple(datum, pair)[1]
 
 
 def degree_drop_one(datum: ReductionDatum) -> bool:
@@ -396,7 +399,7 @@ def degree_drop_one(datum: ReductionDatum) -> bool:
     """
     if not is_perfectly_balanced(datum):
         raise PreconditionNotBalanced("degree-drop criterion needs a perfectly balanced datum")
-    return _drop_one_pair(datum, (1, 3)) or _drop_one_pair(datum, (2, 4))
+    return any(_drop_one_witness(datum, pair) for pair in ((1, 3), (2, 4)))
 
 
 def new_quadrangle(datum: ReductionDatum) -> SyzygyQuadrangle:
@@ -410,26 +413,15 @@ def new_quadrangle(datum: ReductionDatum) -> SyzygyQuadrangle:
     """
     if not is_perfectly_balanced(datum):
         raise PreconditionShape("datum is not perfectly balanced")
-    chosen = None
-    for pair in ((1, 3), (2, 4)):
-        comp = [q for q in (1, 2, 3, 4) if q not in pair]
-        vs = [v for q in comp for v in _nonzero_members(datum, q)]
-        if any(det2(vs[0], vs[k]) != 0 for k in range(1, len(vs))):
-            continue
-        ok, witness = is_simple(datum, pair)
-        if ok:
-            chosen = witness
-            break
+    chosen = _drop_one_witness(datum, (1, 3)) or _drop_one_witness(datum, (2, 4))
     if chosen is None:
         raise PreconditionShape("no diagonal pair is on-a-line and simple")
     vp = rot90(chosen.v)
     wp = rot90(chosen.w)
-    g_q, l_q = reduced_gale(datum)
-    rows = tuple(g_q)
-    vw = (vp[0] + wp[0], vp[1] + wp[1])
-    a = tuple(max(0, dot2(b, vp), dot2(b, wp), dot2(b, vw)) for b in rows)
+    rows, l_q = reduced_gale(datum)
+    a = quadrangle_multidegree(rows, vp, wp)
     total = sum(a)
-    unit = _total_degree(rows, (1, 0), (0, 1))
+    unit = sum(quadrangle_multidegree(rows, (1, 0), (0, 1)))
     if total < unit:
         raise InternalInconsistency(
             f"new quadrangle total {total} below unit square total {unit}"
@@ -437,7 +429,7 @@ def new_quadrangle(datum: ReductionDatum) -> SyzygyQuadrangle:
     return SyzygyQuadrangle(vp, wp, fiber_of(l_q, a), total)
 
 
-def find_reg_eq_deg_partition(lattice: Lattice, gale: GaleDiagram):
+def find_reg_eq_deg_partition(lattice: Lattice):
     """A partition whose reduced ideal has reg = deg, if any.
 
     Scans all quadrant partitions in order and evaluates regularity and
@@ -445,8 +437,8 @@ def find_reg_eq_deg_partition(lattice: Lattice, gale: GaleDiagram):
     non-Cohen-Macaulay diagrams normalized so the unit square attains
     the regularity.  None means no enumerated partition works.
     """
-    for part in enumerate_partitions(gale):
-        datum = ReductionDatum(lattice, gale, part)
+    for part in enumerate_partitions(lattice.rows):
+        datum = ReductionDatum(lattice, lattice.rows, part)
         _, l_q = reduced_gale(datum)
         if regularity_fast(l_q) == hilbert_degree(l_q):
             return part

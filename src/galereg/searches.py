@@ -139,6 +139,23 @@ def _key_sorted(reps):
     )
 
 
+def _report(reps, keys, keep, start) -> SearchReport:
+    """The report on the key-sorted candidates that ``keep`` accepts.
+
+    ``start`` is the :func:`time.perf_counter` reading the search began
+    at.
+    """
+    kept = [(lat, key) for lat, key in zip(reps, keys) if keep(lat)]
+    found = tuple(lat for lat, _ in kept)
+    return SearchReport(
+        found=found,
+        keys=tuple(key for _, key in kept),
+        saturated_count=sum(1 for lat in found if is_saturated(lat)),
+        total_count=len(found),
+        elapsed=time.perf_counter() - start,
+    )
+
+
 # ---------------------------------------------------------------------------
 # search 1: complete intersections of two quadrics with maximal regularity
 
@@ -224,15 +241,7 @@ def search_ci_table(ns=range(3, 9)) -> SearchReport:
     """
     start = time.perf_counter()
     reps, keys = _key_sorted({(n, key): lat for n in ns for key, lat in _ci_classes(n).items()})
-    kept = [(lat, key) for lat, key in zip(reps, keys) if _two_quadrics_maximal(lat)]
-    found = tuple(lat for lat, _ in kept)
-    return SearchReport(
-        found=found,
-        keys=tuple(key for _, key in kept),
-        saturated_count=sum(1 for lat in found if is_saturated(lat)),
-        total_count=len(found),
-        elapsed=time.perf_counter() - start,
-    )
+    return _report(reps, keys, _two_quadrics_maximal, start)
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +374,7 @@ def search_cm_nonci(max_n=6) -> SearchReport:
     """
     start = time.perf_counter()
     reps, keys, _ = _box_orbits(range(3, max_n + 1), 2, _is_cm_nonci_candidate)
-    kept = [(lat, key) for lat, key in zip(reps, keys) if classify_cm_nonci(lat)]
-    found = tuple(lat for lat, _ in kept)
-    return SearchReport(
-        found=found,
-        keys=tuple(key for _, key in kept),
-        saturated_count=sum(1 for lat in found if is_saturated(lat)),
-        total_count=len(found),
-        elapsed=time.perf_counter() - start,
-    )
+    return _report(reps, keys, classify_cm_nonci, start)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 A lattice is stored through an n x 2 basis matrix B whose columns span
 it.  The rows b_1, ..., b_n of B, one vector in Z^2 per coordinate of
 the ambient space, form the Gale diagram of the lattice; replacing B by
-B*U for unimodular U changes the diagram but not the lattice.  Most of
-the combinatorial machinery in the other modules works directly on the
-rows.
+B*U for unimodular U changes the diagram but not the lattice.  The rows,
+a tuple of integer pairs, are the only representation of a diagram:
+the combinatorial machinery in the other modules works directly on
+them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .intlinalg import (
     xgcd,
 )
 
-Vec2 = tuple  # (x, y) integer pair
-
 
 @dataclass(frozen=True)
 class Lattice:
@@ -55,22 +54,6 @@ class Lattice:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "basis": [list(c) for c in self.columns()]}
-
-
-@dataclass(frozen=True)
-class GaleDiagram:
-    """The row sequence of a lattice basis: n vectors in Z^2 summing to zero."""
-
-    vectors: tuple
-
-    def __iter__(self):
-        return iter(self.vectors)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __getitem__(self, i):
-        return self.vectors[i]
 
 
 def _validate_rows(rows):
@@ -129,11 +112,6 @@ def kernel_lattice(a_matrix) -> Lattice:
     basis = integer_kernel(rows, n)
     assert len(basis) == 2
     return lattice_from_basis(basis)
-
-
-def gale_diagram(lattice: Lattice) -> GaleDiagram:
-    """The Gale diagram determined by the stored basis."""
-    return GaleDiagram(lattice.rows)
 
 
 def minor_gcd(lattice: Lattice) -> int:
@@ -330,17 +308,3 @@ def lies_on_two_lines(vectors) -> bool:
     """True when all nonzero vectors sit on at most two lines through 0."""
     return len({_line(tuple(v)) for v in vectors if tuple(v) != (0, 0)}) <= 2
 
-
-def hits_all_open_quadrants(vectors) -> bool:
-    """True when each of the four open quadrants contains a vector."""
-    quads = set()
-    for x, y in vectors:
-        if x > 0 and y > 0:
-            quads.add(1)
-        elif x < 0 and y > 0:
-            quads.add(2)
-        elif x < 0 and y < 0:
-            quads.add(3)
-        elif x > 0 and y < 0:
-            quads.add(4)
-    return len(quads) == 4

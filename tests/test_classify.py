@@ -2,6 +2,7 @@
 
 import pytest
 
+import galereg.classify as classify
 from galereg.classify import (
     MAXIMAL_CI_DIAGRAMS,
     CurveSpec,
@@ -25,10 +26,11 @@ from galereg.errors import (
     PreconditionNotCM,
     PreconditionNotCMnonCI,
 )
-from galereg.fiberhom import degree_and_regularity
+from galereg.fiberhom import degree_and_regularity, hilbert_degree
 from galereg.quadrangle import is_complete_intersection
-from galereg.searches import CM_NONCI_DIAGRAMS
+from galereg.searches import CM_NONCI_DIAGRAMS, sweep_orbits
 from galereg.zlattice import (
+    gale_equivalent,
     is_saturated,
     kernel_lattice,
     lattice_from_basis,
@@ -201,6 +203,31 @@ def test_match_family_forms_n4():
     rows = TWISTED_CUBIC.rows
     assert match_family_forms(rows) == ("N4_FAMILY", {"d": 3})
     assert match_family_forms(n4_family(5).rows) == ("N4_FAMILY", {"d": 5})
+
+
+def test_n4_family_degree_is_its_parameter():
+    for d in range(3, 61):
+        assert hilbert_degree(lattice_from_gale(classify._n4_family_diagram(d))) == d
+
+
+def _match_n4_by_degree_loop(vs):
+    """The matcher as a search: try every family member of degree <= deg I_L."""
+    degree = hilbert_degree(lattice_from_gale(vs))
+    for d in range(3, max(3, degree) + 1):
+        if gale_equivalent(vs, classify._n4_family_diagram(d), up_to_permutation=True):
+            return "N4_FAMILY", {"d": d}
+    return None
+
+
+def test_match_n4_agrees_with_the_degree_loop():
+    """On the n' = 4 sweep orbits, and on the wider box of coordinates <= 4."""
+    four = {lat.rows for lat in sweep_orbits(6, 2)[0] + sweep_orbits(4, 4)[0] if lat.n == 4}
+    matched = 0
+    for vs in sorted(four):
+        expected = _match_n4_by_degree_loop(vs)
+        assert classify._match_n4(vs) == expected, vs
+        matched += expected is not None
+    assert 0 < matched < len(four)
 
 
 def test_matches_n4_maximal_form():

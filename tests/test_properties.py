@@ -279,22 +279,31 @@ def test_hilbert_function_matches_naive_count(rows, d):
 
 
 @st.composite
-def packed_key_rows(draw):
-    """Gale diagrams with n <= 6 and coordinates <= 3.
+def packed_key_rows(draw, max_n=6):
+    """Gale diagrams with n <= max_n and coordinates <= 3, zero rows included.
 
-    Some rows are zero, and the first coordinate of every row is scaled
-    by k in {1, 2, 3}, so many draws are not saturated (a torsion
-    coordinate with modulus > 1 in the class key).
+    The first coordinate of every row is scaled by k in {1, 2, 3}, so
+    many draws are not saturated (a torsion coordinate with modulus > 1
+    in the class key).  Each coordinate of the first n - 1 rows is drawn
+    from the range that still lets the last row, minus their sum, lie
+    in the box, so only rank-deficient draws are filtered out.
     """
-    n = draw(st.integers(min_value=3, max_value=6))
+    n = draw(st.integers(min_value=3, max_value=max_n))
     k = draw(st.sampled_from((1, 2, 3)))
-    xs = st.integers(min_value=-(3 // k), max_value=3 // k)
-    ys = st.integers(min_value=-3, max_value=3)
-    head = [(0, 0) if draw(st.integers(0, 3)) == 0 else (k * draw(xs), draw(ys))
-            for _ in range(n - 1)]
-    last = (-sum(v[0] for v in head), -sum(v[1] for v in head))
-    assume(max(abs(last[0]), abs(last[1])) <= 3)
-    rows = tuple(head + [last])
+    bounds = (3 // k, 3)
+    sums = [0, 0]
+    rows = []
+    for after in range(n - 1, 0, -1):  # rows after this one, the last included
+        row = []
+        zero = draw(st.integers(0, 3)) == 0
+        for c, b in enumerate(bounds):
+            lo, hi = max(-b, -b * after - sums[c]), min(b, b * after - sums[c])
+            x = 0 if zero and lo <= 0 <= hi else draw(st.integers(lo, hi))
+            sums[c] += x
+            row.append(x)
+        rows.append(row)
+    rows.append([-x for x in sums])
+    rows = tuple((k * x, y) for x, y in rows)
     try:
         lattice_from_gale(rows)
     except GaleregError:
@@ -318,44 +327,12 @@ def test_packed_class_key_matches_big_integers(rows, d):
     assert sorted(map(sorted, groups)) == sorted(map(sorted, slow_groups))
 
 
-@st.composite
-def closure_rows(draw):
-    """Gale diagrams with n <= 7 and coordinates <= 3, zero rows included.
-
-    The first coordinate of every row is scaled by k in {1, 2, 3}, as in
-    :func:`packed_key_rows`, so many draws are not saturated.  Each
-    coordinate of the first n - 1 rows is drawn from the range that
-    still lets the last row, minus their sum, lie in the box.
-    """
-    n = draw(st.integers(min_value=3, max_value=7))
-    k = draw(st.sampled_from((1, 2, 3)))
-    bounds = (3 // k, 3)
-    sums = [0, 0]
-    rows = []
-    for after in range(n - 1, 0, -1):  # rows after this one, the last included
-        row = []
-        zero = draw(st.integers(0, 3)) == 0
-        for c, b in enumerate(bounds):
-            lo, hi = max(-b, -b * after - sums[c]), min(b, b * after - sums[c])
-            x = 0 if zero and lo <= 0 <= hi else draw(st.integers(lo, hi))
-            sums[c] += x
-            row.append(x)
-        rows.append(row)
-    rows.append([-x for x in sums])
-    rows = tuple((k * x, y) for x, y in rows)
-    try:
-        lattice_from_gale(rows)
-    except GaleregError:
-        assume(False)
-    return rows
-
-
 def _fiber_multiset(pairs):
     return sorted((d, tuple(sorted(fiber))) for d, fiber in pairs)
 
 
 @settings(deadline=None, max_examples=80)
-@given(closure_rows(), st.integers(min_value=2, max_value=12))
+@given(packed_key_rows(max_n=7), st.integers(min_value=2, max_value=12))
 @example(((0, 2), (2, 0), (0, -2), (-2, 0)), 6)
 @example(((2, 1), (0, 0), (-2, 1), (2, -1), (0, 0), (-2, -1)), 8)
 @example(((0, 0), (0, 0), (0, 0), (1, 0), (0, 1), (-1, -1)), 5)
@@ -540,7 +517,7 @@ def box_scan_pairs(rows, bound):
                 continue
             if abs(det2(v, w)) != 1:
                 continue
-            t = quadrangle._total_degree(rows, v, w)
+            t = sum(max(0, dot2(b, v), dot2(b, w), dot2(b, v) + dot2(b, w)) for b in rows)
             if t <= bound:
                 found.append((t, quadrangle._canonical_pair(v, w)))
     return tuple(sorted(found))
@@ -553,7 +530,7 @@ def scan_rows(draw):
     Rows may be zero, repeat an earlier row or be a multiple of the
     first nonzero row, and the first coordinate of every row is scaled
     by k in {1, 2, 3}, so many draws are not saturated.  As in
-    :func:`closure_rows`, each row is drawn from the range that still
+    :func:`packed_key_rows`, each row is drawn from the range that still
     lets the last row lie in the box.
     """
     n = draw(st.integers(min_value=3, max_value=7))

@@ -12,6 +12,7 @@ from galereg.errors import (
 from galereg.fiberhom import degree_and_regularity
 from galereg.reduction import (
     ReductionDatum,
+    hits_all_open_quadrants,
     degree_drop_one,
     degree_preserved,
     enumerate_partitions,
@@ -23,16 +24,15 @@ from galereg.reduction import (
     reduced_gale,
     support_sets,
 )
-from galereg.zlattice import gale_diagram, lattice_from_gale
+from galereg.zlattice import lattice_from_gale
 
 # the worked five-vector example used throughout
 W = lattice_from_gale([(1, 1), (-1, 1), (-1, 0), (-1, -1), (2, -1)])
-W_GALE = gale_diagram(W)
 W_PART = ((0,), (1, 2), (3,), (4,))
 
 
 def w_datum():
-    return ReductionDatum(W, W_GALE, W_PART)
+    return ReductionDatum(W, W.rows, W_PART)
 
 
 # ---------------------------------------------------------------------------
@@ -41,28 +41,33 @@ def w_datum():
 
 def test_enumerate_partitions_axis_branching():
     # (-1, 0) may go to quadrant 2 or 3; everything else is forced
-    parts = enumerate_partitions(W_GALE)
+    parts = enumerate_partitions(W.rows)
     assert parts == [((0,), (1, 2), (3,), (4,)), ((0,), (1,), (2, 3), (4,))]
     # fully interior diagram: a single partition
-    g = gale_diagram(lattice_from_gale([(1, 1), (-1, 1), (-1, -1), (1, -1)]))
+    g = lattice_from_gale([(1, 1), (-1, 1), (-1, -1), (1, -1)]).rows
     assert enumerate_partitions(g) == [((0,), (1,), (2,), (3,))]
 
 
 def test_enumerate_partitions_needs_all_quadrants():
-    g = gale_diagram(lattice_from_gale([(1, 1), (-1, 1), (-1, 0), (1, -2)]))
+    g = lattice_from_gale([(1, 1), (-1, 1), (-1, 0), (1, -2)]).rows
     with pytest.raises(NotAllQuadrants):
         enumerate_partitions(g)
 
 
+def test_hits_all_open_quadrants():
+    assert hits_all_open_quadrants([(1, 1), (-1, 1), (-1, -1), (1, -1)])
+    assert not hits_all_open_quadrants([(1, 1), (-1, 1), (-1, -1), (1, 0)])
+
+
 def test_datum_validation():
     with pytest.raises(BadInput, match="four classes"):
-        ReductionDatum(W, W_GALE, ((0,), (1, 2), (3, 4)))
+        ReductionDatum(W, W.rows, ((0,), (1, 2), (3, 4)))
     with pytest.raises(BadInput, match="exactly once"):
-        ReductionDatum(W, W_GALE, ((0,), (1, 2), (3,), (3, 4)))
+        ReductionDatum(W, W.rows, ((0,), (1, 2), (3,), (3, 4)))
     with pytest.raises(BadInput, match=r"row 1 = \(-1, 1\) is not in closed quadrant 1"):
-        ReductionDatum(W, W_GALE, ((0, 1), (2,), (3,), (4,)))
+        ReductionDatum(W, W.rows, ((0, 1), (2,), (3,), (4,)))
     with pytest.raises(BadInput, match="does not match"):
-        ReductionDatum(W, gale_diagram(lattice_from_gale([(1, 1), (1, -2), (-2, 1)])),
+        ReductionDatum(W, lattice_from_gale([(1, 1), (1, -2), (-2, 1)]).rows,
                        W_PART)
 
 
@@ -78,8 +83,8 @@ def test_members():
 
 def test_reduced_gale_class_sums():
     g_q, l_q = reduced_gale(w_datum())
-    assert tuple(g_q) == ((1, 1), (-2, 1), (-1, -1), (2, -1))
-    assert l_q.rows == tuple(g_q)
+    assert g_q == ((1, 1), (-2, 1), (-1, -1), (2, -1))
+    assert l_q.rows == g_q
     # each class sum is strictly inside its quadrant by construction
     signs = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
     for v, (sx, sy) in zip(g_q, signs):
@@ -90,7 +95,7 @@ def test_balance():
     assert is_perfectly_balanced(w_datum())
     lat = lattice_from_gale([(2, 1), (-1, 1), (-1, -1), (1, -2), (-1, 1)])
     datum = ReductionDatum(
-        lat, gale_diagram(lat), ((0,), (1, 4), (2,), (3,))
+        lat, lat.rows, ((0,), (1, 4), (2,), (3,))
     )
     assert not is_perfectly_balanced(datum)
 
@@ -118,7 +123,7 @@ def test_is_simple_pair_shape():
         [(1, 1), (1, 2), (-1, -1), (-1, -2), (-1, 1), (1, -1)]
     )
     datum = ReductionDatum(
-        lat, gale_diagram(lat), ((0, 1), (4,), (2, 3), (5,))
+        lat, lat.rows, ((0, 1), (4,), (2, 3), (5,))
     )
     holds, witness = is_simple(datum, (1, 3))
     assert holds
@@ -130,7 +135,7 @@ def test_is_simple_pair_shape():
 
 def test_is_simple_unbalanced_pair_precondition():
     lat = lattice_from_gale([(2, 1), (-1, 1), (-1, -1), (1, -2), (-1, 1)])
-    datum = ReductionDatum(lat, gale_diagram(lat), ((0,), (1, 4), (2,), (3,)))
+    datum = ReductionDatum(lat, lat.rows, ((0,), (1, 4), (2,), (3,)))
     with pytest.raises(PreconditionUnbalancedPair):
         is_simple(datum, (1, 3))
 
@@ -150,7 +155,7 @@ def test_support_sets_worked_example():
 
 def test_support_sets_degenerate_line():
     lat = lattice_from_gale([(1, 1), (-1, 1), (-1, -1), (1, -1)])
-    datum = ReductionDatum(lat, gale_diagram(lat), ((0,), (1,), (2,), (3,)))
+    datum = ReductionDatum(lat, lat.rows, ((0,), (1,), (2,), (3,)))
     s1 = support_sets(datum, 1)
     assert s1.degenerate_line
     assert s1.a == frozenset()
@@ -186,7 +191,7 @@ def test_degree_preserved_and_drop():
 
 def test_degree_drop_requires_balance():
     lat = lattice_from_gale([(2, 1), (-1, 1), (-1, -1), (1, -2), (-1, 1)])
-    datum = ReductionDatum(lat, gale_diagram(lat), ((0,), (1, 4), (2,), (3,)))
+    datum = ReductionDatum(lat, lat.rows, ((0,), (1, 4), (2,), (3,)))
     with pytest.raises(PreconditionNotBalanced):
         degree_drop_one(datum)
 
@@ -218,7 +223,7 @@ def test_new_quadrangle_shape_precondition():
     lat = lattice_from_gale(
         [(1, 1), (1, 2), (-1, -1), (-1, -2), (-1, 1), (1, -2), (0, 1)]
     )
-    g = gale_diagram(lat)
+    g = lat.rows
     datum = ReductionDatum(lat, g, ((0, 1), (4, 6), (2, 3), (5,)))
     assert is_perfectly_balanced(datum)
     with pytest.raises(PreconditionShape, match="no diagonal pair"):
@@ -226,4 +231,4 @@ def test_new_quadrangle_shape_precondition():
 
 
 def test_find_reg_eq_deg_partition():
-    assert find_reg_eq_deg_partition(W, W_GALE) == W_PART
+    assert find_reg_eq_deg_partition(W) == W_PART

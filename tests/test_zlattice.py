@@ -8,12 +8,9 @@ from galereg.errors import (
     RankDeficient,
 )
 from galereg.zlattice import (
-    GaleDiagram,
     Lattice,
     contains,
-    gale_diagram,
     gale_equivalent,
-    hits_all_open_quadrants,
     is_nondegenerate,
     is_saturated,
     kernel_lattice,
@@ -47,7 +44,6 @@ def test_kernel_lattice_requires_all_ones_in_row_span():
 def test_lattice_from_basis_roundtrip():
     lat = lattice_from_basis([(1, -2, 1, 0), (0, 1, -2, 1)])
     assert lat.rows == ((1, 0), (-2, 1), (1, -2), (0, 1))
-    assert gale_diagram(lat) == GaleDiagram(lat.rows)
     assert lat.to_json_dict() == {
         "n": 4,
         "basis": [[1, -2, 1, 0], [0, 1, -2, 1]],
@@ -149,11 +145,6 @@ def test_lies_on_two_lines():
     assert lies_on_two_lines([(1, 0), (-2, 0), (0, 3), (1, 0)])
     assert lies_on_two_lines([(1, 1), (-2, -2), (0, 0)])
     assert not lies_on_two_lines([(1, 0), (0, 1), (1, 1)])
-
-
-def test_hits_all_open_quadrants():
-    assert hits_all_open_quadrants([(1, 1), (-1, 1), (-1, -1), (1, -1)])
-    assert not hits_all_open_quadrants([(1, 1), (-1, 1), (-1, -1), (1, 0)])
 
 
 def test_lattice_is_hashable_and_frozen():
