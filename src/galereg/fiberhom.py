@@ -99,7 +99,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import chain, combinations, combinations_with_replacement, compress
 from operator import sub
 
 import numpy as np
@@ -154,18 +154,33 @@ def _ctx(rows) -> _Ctx:
 
 @lru_cache(maxsize=128)
 def _compositions(n: int, d: int):
-    """All exponent vectors in N^n of total degree d, as a read-only array."""
-    if d == 0:
-        arr = np.zeros((1, n), dtype=np.int64)
-    elif n == 1:
-        arr = np.array([[d]], dtype=np.int64)
-    else:
-        bars = np.array(list(combinations(range(d + n - 1), n - 1)), dtype=np.int64)
-        left = np.hstack([np.full((len(bars), 1), -1, dtype=np.int64), bars])
-        right = np.hstack([bars, np.full((len(bars), 1), d + n - 1, dtype=np.int64)])
-        arr = right - left - 1
+    """All exponent vectors in N^n of total degree d, as a read-only array.
+
+    One column per vector, in lex order, so each variable's exponents
+    are contiguous; the dtype is the smallest unsigned one that holds d,
+    uint8 through degree 255 and uint16 above.  A vector is the step
+    sequence of a non-decreasing c in {0..d}^(n - 1), padded by 0 and d,
+    and combinations_with_replacement lists those c in lex order.
+    """
+    dtype = np.min_scalar_type(d)
+    count = math.comb(d + n - 1, n - 1)
+    bounds = np.empty((n + 1, count), dtype=dtype)
+    bounds[0], bounds[n] = 0, d
+    bounds[1:n] = np.fromiter(chain.from_iterable(combinations_with_replacement(range(d + 1), n - 1)),
+                              dtype=dtype, count=count * (n - 1)).reshape(count, n - 1).T
+    arr = np.diff(bounds, axis=0)
     arr.setflags(write=False)
     return arr
+
+
+def _weigh(exps, vector):
+    """vector . a for each column a of exps, in int64.
+
+    einsum casts exps to int64 in buffered chunks, where a matmul would
+    first copy the whole array; the int64 vector also keeps NumPy from
+    computing in the narrow dtype of exps, where a product would wrap.
+    """
+    return np.einsum("ji,j->i", exps, np.array(vector, dtype=np.int64))
 
 
 def _monomial_budget(n: int, d: int, cumulative: bool = True):
@@ -175,7 +190,7 @@ def _monomial_budget(n: int, d: int, cumulative: bool = True):
     d alone, C(d + n - 1, n - 1).  The count is checked before
     any of them is allocated; the cap admits C(36, 6), six variables
     through degree 30, and holds the arrays of :func:`_compositions` to
-    about 2^21 * 8 n bytes.
+    2^21 n bytes, one byte per exponent (two above degree 255).
     """
     if cumulative:
         count, what = math.comb(max(d + n, 0), n), f"degree <= {d}"
@@ -237,9 +252,9 @@ def _degree_data(ctx: _Ctx, d: int, want_groups: bool):
     weights, digits, bound = _packing(ctx, d)
     if bound < _INT64_SAFE:
         exps = _compositions(ctx.n, d)
-        key = exps @ np.array(weights, dtype=np.int64)
+        key = _weigh(exps, weights)
         for row, m, place in digits:
-            key += (exps @ np.array(row, dtype=np.int64)) % m * place
+            key += _weigh(exps, row) % m * place
         order = np.argsort(key, kind="stable")
         sorted_key = key[order]
         change = np.empty(len(sorted_key), dtype=bool)
@@ -250,10 +265,10 @@ def _degree_data(ctx: _Ctx, d: int, want_groups: bool):
         if not want_groups or d == 0:
             return count, []
         # a class is a cone unless every variable is missing from some member
-        zero = (exps == 0) @ (1 << np.arange(ctx.n, dtype=np.int64))
+        zero = _weigh(exps == 0, [1 << j for j in range(ctx.n)])
         live = np.bitwise_or.reduceat(zero[order], starts) == (1 << ctx.n) - 1
         sizes = np.diff(np.append(starts, len(order)))
-        members = exps[order[np.repeat(live, sizes)]].tolist()
+        members = exps[:, order[np.repeat(live, sizes)]].T.tolist()
         groups = []
         pos = 0
         for size in sizes[live].tolist():

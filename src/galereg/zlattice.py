@@ -302,9 +302,3 @@ def permutation_canonical_key(lattice: Lattice) -> tuple:
                 if best is None or key < best:
                     best = key
     return best
-
-
-def lies_on_two_lines(vectors) -> bool:
-    """True when all nonzero vectors sit on at most two lines through 0."""
-    return len({_line(tuple(v)) for v in vectors if tuple(v) != (0, 0)}) <= 2
-

@@ -102,6 +102,27 @@ def test_big_integer_fallback_matches_numpy(lat, monkeypatch):
         assert sorted(map(sorted, slow_groups)) == sorted(map(sorted, groups))
 
 
+@pytest.mark.parametrize("d", [255, 256, 300])
+def test_narrow_exponents_match_big_integer_fallback(d, monkeypatch):
+    # uint8 exponents through degree 255, uint16 above: the int64 key must
+    # not be computed in either narrow dtype, where 3 * 255 already wraps
+    ctx = fiberhom._ctx(CM_NONCI_N3.rows)
+    count, groups = fiberhom._degree_data(ctx, d, True)
+    hf = hilbert_function(CM_NONCI_N3, d)
+    monkeypatch.setattr(fiberhom, "_INT64_SAFE", 0)
+    slow_count, slow_groups = fiberhom._degree_data(ctx, d, True)
+    assert hf == count == slow_count == hilbert_degree(CM_NONCI_N3)
+    assert sorted(map(sorted, slow_groups)) == sorted(map(sorted, groups))
+
+
+@pytest.mark.parametrize("n, d, itemsize", [(3, 0, 1), (4, 7, 1), (6, 12, 1), (3, 255, 1), (3, 256, 2)])
+def test_compositions_are_compact_read_only_and_in_lex_order(n, d, itemsize):
+    exps = fiberhom._compositions(n, d)
+    assert not exps.flags.writeable
+    assert exps.nbytes == comb(d + n - 1, n - 1) * n * itemsize
+    assert exps.T.tolist() == sorted(map(list, fiberhom._py_compositions(n, d)))
+
+
 def test_closure_grid_refuses_int64_overflow(monkeypatch):
     monkeypatch.setattr(fiberhom, "_INT64_SAFE", 1 << 4)
     with pytest.raises(BadInput, match="int64"):

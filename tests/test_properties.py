@@ -52,6 +52,7 @@ from galereg.zlattice import (
 
 coords = st.integers(min_value=-2, max_value=2)
 vectors = st.tuples(coords, coords)
+PLANE = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]  # every value of vectors
 
 
 @st.composite
@@ -151,7 +152,12 @@ def brute_force_key(lattice):
 
 @st.composite
 def keyed_rows(draw):
-    """Gale rows with zero rows, repeated rows and multiples of the first nonzero row."""
+    """Gale rows with zero rows, repeated rows and multiples of the first nonzero row.
+
+    They always span the plane: when the drawn rows span only a line,
+    one row other than the first nonzero one is redrawn off that line,
+    so no draw is filtered.
+    """
     n = draw(st.integers(min_value=3, max_value=7))
     head = []
     for _ in range(n - 1):
@@ -167,13 +173,15 @@ def keyed_rows(draw):
         else:
             v = draw(vectors)
         head.append(v)
+    if not any(det2(a, b) for a, b in combinations(head, 2)):
+        k = next((k for k, v in enumerate(head) if v != (0, 0)), None)
+        if k is None:
+            k = 0
+            head[0] = draw(st.sampled_from([v for v in PLANE if v != (0, 0)]))
+        i = draw(st.sampled_from([j for j in range(n - 1) if j != k]))
+        head[i] = draw(st.sampled_from([v for v in PLANE if det2(v, head[k])]))
     last = (-sum(v[0] for v in head), -sum(v[1] for v in head))
-    rows = draw(st.permutations(head + [last]))
-    try:
-        lattice_from_gale(rows)
-    except GaleregError:
-        assume(False)
-    return tuple(rows)
+    return tuple(draw(st.permutations(head + [last])))
 
 
 @settings(deadline=None, max_examples=150)

@@ -16,7 +16,6 @@ from galereg.zlattice import (
     kernel_lattice,
     lattice_from_basis,
     lattice_from_gale,
-    lies_on_two_lines,
     minor_gcd,
     permutation_canonical_key,
     strip_zero_coordinates,
@@ -139,12 +138,6 @@ def test_permutation_canonical_key_separates():
 def test_permutation_canonical_key_cases(rows, key):
     for order in (rows, rows[::-1], rows[1:] + rows[:1]):
         assert permutation_canonical_key(lattice_from_gale(order)) == key
-
-
-def test_lies_on_two_lines():
-    assert lies_on_two_lines([(1, 0), (-2, 0), (0, 3), (1, 0)])
-    assert lies_on_two_lines([(1, 1), (-2, -2), (0, 0)])
-    assert not lies_on_two_lines([(1, 0), (0, 1), (1, 1)])
 
 
 def test_lattice_is_hashable_and_frozen():
