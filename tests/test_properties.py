@@ -174,10 +174,9 @@ def keyed_rows(draw):
             v = draw(vectors)
         head.append(v)
     if not any(det2(a, b) for a, b in combinations(head, 2)):
-        k = next((k for k, v in enumerate(head) if v != (0, 0)), None)
-        if k is None:
-            k = 0
-            head[0] = draw(st.sampled_from([v for v in PLANE if v != (0, 0)]))
+        k = next((k for k, v in enumerate(head) if v != (0, 0)), 0)
+        if head[k] == (0, 0):
+            head[k] = draw(st.sampled_from([v for v in PLANE if v != (0, 0)]))
         i = draw(st.sampled_from([j for j in range(n - 1) if j != k]))
         head[i] = draw(st.sampled_from([v for v in PLANE if det2(v, head[k])]))
     last = (-sum(v[0] for v in head), -sum(v[1] for v in head))
