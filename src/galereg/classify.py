@@ -457,17 +457,21 @@ def matches_reg_eq_deg_form(vectors):
     These are {(1,1), (a,-b), (-1,-1), (-a,b)} and
     {(1,a), (1,-b), (-1,-a), (-1,b)} with a, b >= 1; returns
     (shape, a, b), shape "diagonal" for the first and "columns" for the
-    second, or None.
+    second, or None.  a and b are read off the vectors: (a, -b) is the
+    one diagonal vector with x > 0 > y, and in sorted order the columns
+    shape ends with (1, -b), (1, a).  The shapes meet only in the
+    columns with a = 1, which are the diagonal shape (1, b); that case
+    is reported as "diagonal".
     """
     vs = sorted(tuple(int(x) for x in v) for v in vectors)
     if len(vs) != 4:
         raise BadInput("expected exactly four vectors")
-    for a in range(1, max(abs(x) for v in vs for x in v) + 1):
-        for b in range(1, max(abs(x) for v in vs for x in v) + 1):
-            if vs == sorted([(1, 1), (a, -b), (-1, -1), (-a, b)]):
-                return "diagonal", a, b
-            if vs == sorted([(1, a), (1, -b), (-1, -a), (-1, b)]):
-                return "columns", a, b
+    for a, neg_b in vs:
+        if a > 0 > neg_b and vs == sorted([(1, 1), (a, neg_b), (-1, -1), (-a, -neg_b)]):
+            return "diagonal", a, -neg_b
+    a, b = vs[3][1], -vs[2][1]
+    if a >= 1 and b >= 1 and vs == sorted([(1, a), (1, -b), (-1, -a), (-1, b)]):
+        return "columns", a, b
     return None
 
 

@@ -57,10 +57,16 @@ of any closure of degree <= H.  The work is at most one AND of n masks
 per (closed set, candidate point) pair, over the |G_H| points; the
 memory is n (H + 1) masks of |G_H| bits, capped at MASK_CAP bits.  The grid (:func:`gh_grid`) is
 shared with the syzygy-quadrangle scan, which runs over G_T for its
-degree bound T.  It is int64, behind an exact bound on every b_i . u
-and f(u) over the bounding box, and the box is capped at GRID_CAP
-points; both are checked before the box is allocated, and a diagram
-beyond either raises BadInput.
+degree bound T.
+
+Every lattice polygon is listed by one box scan (:func:`_box`): G_H,
+and the fiber polygon {u : B u <= a} of a single class
+(:func:`polygon_of`, :func:`fiber_of`), whose box runs between the
+floors and ceilings of its vertices.  The scan is int64, behind an exact
+bound on sum_i |b_i . u| over the box, and the box is capped at GRID_CAP
+points, so GRID_CAP bounds fiber polygons as well as G_H; both are
+checked before the box is allocated, and a box beyond either raises
+BadInput.
 
 Spans of rank r >= 3 (monomial curves) still group monomials degree by
 degree: on the 231 curves of degree at most 9, a prototype closure in
@@ -109,7 +115,7 @@ from .intlinalg import dot2, det2, integer_kernel, mat_rank, rank_mod_p, rot90, 
 from .zlattice import Lattice, is_nondegenerate, lattice_from_basis
 
 _INT64_SAFE = 1 << 62
-GRID_CAP = 1 << 22  # points in the bounding box of G_H; see gh_grid
+GRID_CAP = 1 << 22  # points in the bounding box of G_H or of a fiber polygon; see _box
 MASK_CAP = 1 << 30  # bits in the closure's n (H + 1) masks over G_H (128 MiB); see _live_fibers
 MONOMIAL_CAP = 1 << 21  # monomials listed for Hilbert counts and curve spans; see _monomial_budget
 
@@ -419,30 +425,40 @@ def _entry_sort_key(e: BettiEntry):
     return (e.i, e.total_degree, e.representative)
 
 
+def _box(rows, xs, ys, name: str):
+    """The lattice points of the box xs x ys, xs = (x0, x1), in lex order.
+
+    Returns (points, vals): int64 arrays with one point u per row and
+    B u in the same row of ``vals``.  The box is sized before anything
+    is allocated: above GRID_CAP points, or with sum_i |b_i . u| beyond
+    the int64 bound somewhere on the box, BadInput names it.
+    """
+    (x0, x1), (y0, y1) = xs, ys
+    size = (x1 - x0 + 1) * (y1 - y0 + 1)
+    if size > GRID_CAP:
+        raise BadInput(f"the bounding box of {name} has {size} points, "
+                       f"above the cap of {GRID_CAP}")
+    xmax, ymax = max(-x0, x1), max(-y0, y1)
+    if sum(abs(b[0]) * xmax + abs(b[1]) * ymax for b in rows) >= _INT64_SAFE:
+        raise BadInput(f"Gale vectors too long for the int64 grid of {name}")
+    gx, gy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1), indexing="ij")
+    box = np.stack([gx.ravel(), gy.ravel()], axis=1)  # lex order
+    return box, box @ np.array(rows, dtype=np.int64).T  # row k holds B u for the k-th point
+
+
 def gh_grid(rows, horizon: int):
     """The lattice points of G_H = {u : sum_i max(0, b_i . u) <= H}, H = horizon.
 
-    Returns (points, vals): int64 arrays with one lex-ordered point u
-    per row, and B u in the same row of ``vals``.  Since G_H = -G_H,
-    the origin is the middle point.  The bounding box comes from exact
-    floors at the vertices H r / f(r), r = +-rot90(b_i), and is sized
-    before anything is allocated: above GRID_CAP points, or beyond the
-    int64 bound on every b_i . u over the box, BadInput.
+    Returns (points, vals) as :func:`_box` does.  Since G_H = -G_H, the
+    origin is the middle point.  The bounding box comes from exact
+    floors at the vertices H r / f(r), r = +-rot90(b_i).
     """
     xmax = ymax = 0
     for r in {rot90(b) for b in rows if b != (0, 0)}:
         f = sum(max(0, dot2(b, r)) for b in rows)
         xmax = max(xmax, horizon * abs(r[0]) // f)
         ymax = max(ymax, horizon * abs(r[1]) // f)
-    size = (2 * xmax + 1) * (2 * ymax + 1)
-    if size > GRID_CAP:
-        raise BadInput(f"the bounding box of G_{horizon} has {size} points, "
-                       f"above the cap of {GRID_CAP}")
-    if sum(abs(b[0]) * xmax + abs(b[1]) * ymax for b in rows) >= _INT64_SAFE:
-        raise BadInput(f"Gale vectors too long for the int64 grid of G_{horizon}")
-    xs, ys = np.meshgrid(np.arange(-xmax, xmax + 1), np.arange(-ymax, ymax + 1), indexing="ij")
-    box = np.stack([xs.ravel(), ys.ravel()], axis=1)  # lex order
-    vals = box @ np.array(rows, dtype=np.int64).T  # row k holds B u for the k-th point
+    box, vals = _box(rows, (-xmax, xmax), (-ymax, ymax), f"G_{horizon}")
     inside = np.maximum(vals, 0).sum(axis=1) <= horizon
     return box[inside], vals[inside]
 
@@ -696,49 +712,27 @@ def hilbert_numerator(lattice: Lattice, through: int):
 
 @dataclass(frozen=True)
 class Polygon:
-    """Integer points of {u in Z^2 : B u <= a} and their convex hull."""
+    """Integer points of {u in Z^2 : B u <= a}, in lex order."""
 
     a: tuple
     points: tuple
-    vertices: tuple
-
-    @property
-    def is_primitive(self) -> bool:
-        """True when every lattice point is a hull vertex."""
-        return bool(self.points) and len(self.points) == len(self.vertices)
 
 
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _polygon_points(lattice: Lattice, avec):
+    """(points, vals) of the fiber polygon of avec, as :func:`_box` gives them.
 
-
-def _hull(points):
-    pts = sorted(points)
-    if len(pts) <= 2:
-        return tuple(pts)
-
-    def build(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = build(pts)
-    upper = build(reversed(pts))
-    return tuple(lower[:-1] + upper[:-1])
-
-
-def polygon_of(lattice: Lattice, a) -> Polygon:
-    """Exact enumeration of the fiber polytope for the degree vector a >= 0."""
+    A polygon with no recession direction and 0 in it (a >= 0) has a
+    vertex, so the box from the least vertex ceiling to the greatest
+    vertex floor is never empty and holds every lattice point of it.
+    """
     rows = lattice.rows
-    avec = tuple(int(x) for x in a)
     if len(avec) != lattice.n:
         raise BadInput(f"degree vector has length {len(avec)}, expected {lattice.n}")
     if any(x < 0 for x in avec):
         raise BadInput("degree vector must be componentwise nonnegative")
     nonzero = [r for r in rows if r != (0, 0)]
+    if not nonzero:
+        raise Unbounded("the fiber polytope is the whole plane")
     for v in nonzero:
         for cand in (rot90(v), rot90(rot90(rot90(v)))):
             if all(dot2(r, cand) <= 0 for r in rows):
@@ -756,17 +750,24 @@ def polygon_of(lattice: Lattice, a) -> Polygon:
         if all(r[0] * x + r[1] * y <= avec[k] * den for k, r in enumerate(rows)):
             ceils.append((-(-x // den), -(-y // den)))
             floors.append((x // den, y // den))
-    if not ceils:
-        return Polygon(avec, (), ())
     x0, y0 = map(min, zip(*ceils))
     x1, y1 = map(max, zip(*floors))
-    points = []
-    for x in range(x0, x1 + 1):
-        for y in range(y0, y1 + 1):
-            if all(r[0] * x + r[1] * y <= avec[k] for k, r in enumerate(rows)):
-                points.append((x, y))
-    points = tuple(sorted(points))
-    return Polygon(avec, points, _hull(points))
+    box, vals = _box(rows, (x0, x1), (y0, y1), f"the fiber polygon of {avec}")
+    # every b_i . u on the box is below _INT64_SAFE, so a clipped to it
+    # cuts out the same points and fits in int64
+    inside = (vals <= np.array([min(x, _INT64_SAFE) for x in avec], dtype=np.int64)).all(axis=1)
+    return box[inside], vals[inside]
+
+
+def polygon_of(lattice: Lattice, a) -> Polygon:
+    """Exact enumeration of the fiber polytope for the degree vector a >= 0.
+
+    Unbounded when the polygon has a recession direction; BadInput when
+    its bounding box holds more than GRID_CAP points.
+    """
+    avec = tuple(int(x) for x in a)
+    points, _ = _polygon_points(lattice, avec)
+    return Polygon(avec, tuple(map(tuple, points.tolist())))
 
 
 @dataclass(frozen=True)
@@ -783,8 +784,6 @@ def fiber_of(lattice: Lattice, a) -> FiberClass:
     avec = tuple(int(x) for x in a)
     if any(x < 0 for x in avec):
         raise BadInput("fiber representatives must be nonnegative")
-    poly = polygon_of(lattice, avec)
-    monos = tuple(sorted(tuple(avec[k] - dot2(r, u) for k, r in enumerate(lattice.rows))
-                         for u in poly.points))
+    _, vals = _polygon_points(lattice, avec)
+    monos = tuple(sorted(tuple(map(sub, avec, v)) for v in vals.tolist()))
     return FiberClass(monos[0], sum(avec), monos)
-

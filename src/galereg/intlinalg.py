@@ -59,17 +59,17 @@ def rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def row_hermite(rows, transform: bool = False):
-    """Row Hermite normal form H of an integer matrix.
+def row_hermite(rows):
+    """Row Hermite normal form H of an integer matrix, with its transform.
 
-    Returns H, or (H, U) with U unimodular and U*M = H when transform
-    is requested.  H is the canonical echelon form: pivots positive,
-    entries above each pivot reduced into [0, pivot), zero rows last.
+    Returns (H, U) with U unimodular and U*M = H.  H is the canonical
+    echelon form: pivots positive, entries above each pivot reduced into
+    [0, pivot), zero rows last.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transform else None
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     pivot_row = 0
     pivot_cols = []
     for col in range(ncols):
@@ -83,16 +83,14 @@ def row_hermite(rows, transform: bool = False):
             r_min = min(rs, key=lambda r: abs(m[r][col]))
             if r_min != pivot_row:
                 m[pivot_row], m[r_min] = m[r_min], m[pivot_row]
-                if u:
-                    u[pivot_row], u[r_min] = u[r_min], u[pivot_row]
+                u[pivot_row], u[r_min] = u[r_min], u[pivot_row]
             piv = m[pivot_row][col]
             done = True
             for r in range(pivot_row + 1, nrows):
                 if m[r][col] != 0:
                     q = m[r][col] // piv
                     m[r] = [a - q * b for a, b in zip(m[r], m[pivot_row])]
-                    if u:
-                        u[r] = [a - q * b for a, b in zip(u[r], u[pivot_row])]
+                    u[r] = [a - q * b for a, b in zip(u[r], u[pivot_row])]
                     if m[r][col] != 0:
                         done = False
             if done:
@@ -100,8 +98,7 @@ def row_hermite(rows, transform: bool = False):
         if m[pivot_row][col] != 0:
             if m[pivot_row][col] < 0:
                 m[pivot_row] = [-a for a in m[pivot_row]]
-                if u:
-                    u[pivot_row] = [-a for a in u[pivot_row]]
+                u[pivot_row] = [-a for a in u[pivot_row]]
             pivot_cols.append(col)
             pivot_row += 1
     # reduce entries above each pivot
@@ -111,18 +108,8 @@ def row_hermite(rows, transform: bool = False):
             q = m[r][col] // piv
             if q:
                 m[r] = [a - q * b for a, b in zip(m[r], m[i])]
-                if u:
-                    u[r] = [a - q * b for a, b in zip(u[r], u[i])]
-    h = tuple(tuple(r) for r in m)
-    if transform:
-        return h, tuple(tuple(r) for r in u)
-    return h
-
-
-def column_hermite(rows):
-    """Column Hermite normal form, the canonical basis of the column lattice."""
-    ht = row_hermite([list(c) for c in zip(*rows)])
-    return tuple(tuple(r) for r in zip(*ht))
+                u[r] = [a - q * b for a, b in zip(u[r], u[i])]
+    return tuple(tuple(r) for r in m), tuple(tuple(r) for r in u)
 
 
 def integer_kernel(rows, ncols: int):
@@ -134,7 +121,7 @@ def integer_kernel(rows, ncols: int):
     if not rows:
         return tuple(tuple(int(i == j) for j in range(ncols)) for i in range(ncols))
     mt = [list(c) for c in zip(*rows)]  # ncols x nrows
-    h, u = row_hermite(mt, transform=True)
+    h, u = row_hermite(mt)
     return tuple(u[i] for i in range(len(h)) if all(x == 0 for x in h[i]))
 
 

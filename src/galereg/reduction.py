@@ -29,7 +29,6 @@ x >= 0, y >= 0); row indices are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Optional
 
@@ -111,12 +110,6 @@ class ReductionDatum:
     def members(self, label: int):
         """The vectors of class ``label`` (1..4), in index order."""
         return tuple(self.lattice.rows[i] for i in self.partition[label - 1])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lattice": self.lattice.to_json_dict(),
-            "partition": [list(cls) for cls in self.partition],
-        }
 
 
 def enumerate_partitions(rows):
@@ -232,14 +225,24 @@ def is_simple(datum: ReductionDatum, pair):
 
 
 def _minimal_line_points(u0, step):
-    """Two lattice points on u0 + Z*step minimizing (sup norm, 1-norm, lex)."""
+    """Two lattice points on u0 + Z*step minimizing (sup norm, 1-norm, lex).
+
+    Here step = rot90(p) and p . u0 = 1, so the line is p . u = 1, at
+    distance 1/|p| from 0; u0 + t*step is its Euclidean foot, and
+    center = floor(t).  The two points k = center, center + 1 lie within
+    one step of the foot, so their Euclidean and hence sup norms are at
+    most e = sqrt(1/|p|^2 + |p|^2).  Neither of the two best points ranks
+    below both of those, so each has a sup norm at most e, hence a
+    Euclidean norm at most sqrt(2) e: with s = |k - t|,
+    1/|p|^2 + s^2 |p|^2 <= 2/|p|^2 + 2 |p|^2, and s^2 <= 2 + 1/|p|^4 <= 3.
+    Both therefore lie within sqrt(3) steps of the foot, in
+    k = center - 1 .. center + 2, and the window center +- 4 holds them.
+    """
 
     def key(u):
         return (max(abs(u[0]), abs(u[1])), abs(u[0]) + abs(u[1]), u)
 
-    num = -(u0[0] * step[0] + u0[1] * step[1])
-    den = step[0] * step[0] + step[1] * step[1]
-    center = round(Fraction(num, den))
+    center = -dot2(u0, step) // dot2(step, step)
     pts = [
         (u0[0] + k * step[0], u0[1] + k * step[1])
         for k in range(center - 4, center + 5)
@@ -299,20 +302,17 @@ def _pair_solutions(p, q, others):
     constraints = [b for b in others if b != (0, 0)]
     if not constraints:
         return _minimal_line_points(u0, step), True
-    k = None
+    # u0 + k step is orthogonal to b exactly for k = -b.u0 / b.step
+    ks = set()
     for b in constraints:
         den = dot2(b, step)
-        if den == 0:
+        if den == 0 or dot2(b, u0) % den:
             return (), False
-        kb = Fraction(-dot2(b, u0), den)
-        if k is None:
-            k = kb
-        elif kb != k:
-            return (), False
-    if k.denominator != 1:
+        ks.add(-dot2(b, u0) // den)
+    if len(ks) != 1:
         return (), False
-    u = (u0[0] + int(k) * step[0], u0[1] + int(k) * step[1])
-    return (u,), False
+    (k,) = ks
+    return ((u0[0] + k * step[0], u0[1] + k * step[1]),), False
 
 
 def support_sets(datum: ReductionDatum, quadrant: int) -> SupportSets:

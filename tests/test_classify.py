@@ -1,6 +1,7 @@
 """Curve patterns, Cohen-Macaulay criteria, and the maximality classifier."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import galereg.classify as classify
 from galereg.classify import (
@@ -249,6 +250,52 @@ def test_matches_reg_eq_deg_form():
         1,
     )
     assert matches_reg_eq_deg_form(((1, 0), (-2, 1), (1, -2), (0, 1))) is None
+    # the shapes overlap in the columns with a = 1, the diagonal shape (1, b)
+    assert matches_reg_eq_deg_form(((1, 1), (1, -5), (-1, -1), (-1, 5))) == ("diagonal", 1, 5)
+    # read off the vectors, so a coordinate of 10^6 costs no more than 1
+    big = 10 ** 6
+    assert matches_reg_eq_deg_form(((-big, 3), (1, 1), (big, -3), (-1, -1))) == ("diagonal", big, 3)
+    assert matches_reg_eq_deg_form(((1, big), (-1, 2), (1, -2), (-1, -big))) == ("columns", big, 2)
+    assert matches_reg_eq_deg_form(((1, big), (-1, 2), (1, -3), (-1, -big))) is None
+
+
+def reg_eq_deg_form_by_search(vectors):
+    """The reference: every (a, b) up to the largest |coordinate|, in order."""
+    vs = sorted(vectors)
+    top = max(abs(x) for v in vs for x in v)
+    for a in range(1, top + 1):
+        for b in range(1, top + 1):
+            if vs == sorted([(1, 1), (a, -b), (-1, -1), (-a, b)]):
+                return "diagonal", a, b
+            if vs == sorted([(1, a), (1, -b), (-1, -a), (-1, b)]):
+                return "columns", a, b
+    return None
+
+
+@st.composite
+def reg_eq_deg_candidates(draw):
+    """Four vectors with coordinates <= 4, in random order: the diagonal or
+    columns shape, such a shape with one coordinate moved by one, or a
+    plain draw."""
+    kind = draw(st.sampled_from(["shape", "moved", "plain"]))
+    if kind == "plain":
+        vs = draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=4, max_size=4))
+    else:
+        a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        vs = draw(st.sampled_from([[(1, 1), (a, -b), (-1, -1), (-a, b)],
+                                   [(1, a), (1, -b), (-1, -a), (-1, b)]]))
+    if kind == "moved":
+        k, axis, step = draw(st.integers(0, 3)), draw(st.integers(0, 1)), draw(st.sampled_from([-1, 1]))
+        moved = list(vs[k])
+        moved[axis] += step
+        vs = vs[:k] + [tuple(moved)] + vs[k + 1:]
+    return draw(st.permutations(vs))
+
+
+@settings(deadline=None, max_examples=400)
+@given(reg_eq_deg_candidates())
+def test_reg_eq_deg_form_agrees_with_the_search(vectors):
+    assert matches_reg_eq_deg_form(vectors) == reg_eq_deg_form_by_search(vectors)
 
 
 # ---------------------------------------------------------------------------

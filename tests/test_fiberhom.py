@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 import galereg.fiberhom as fiberhom
-from galereg.errors import BadInput, Degenerate, InternalInconsistency, NotHomogeneous
+from galereg.errors import BadInput, Degenerate, InternalInconsistency, NotHomogeneous, Unbounded
 from galereg.fiberhom import (
     BettiTable,
     betti_table,
@@ -20,7 +20,7 @@ from galereg.fiberhom import (
     reg_deg_via_hilbert,
     regularity_from_numerator,
 )
-from galereg.zlattice import contains, kernel_lattice, lattice_from_gale
+from galereg.zlattice import Lattice, contains, kernel_lattice, lattice_from_gale
 
 TWISTED_CUBIC = kernel_lattice([(1, 1, 1, 1), (0, 1, 2, 3)])
 CI_22 = lattice_from_gale([(0, 2), (2, 0), (0, -2), (-2, 0)])
@@ -127,6 +127,8 @@ def test_closure_grid_refuses_int64_overflow(monkeypatch):
     monkeypatch.setattr(fiberhom, "_INT64_SAFE", 1 << 4)
     with pytest.raises(BadInput, match="int64"):
         next(fiberhom._live_fibers(n4_family(9).rows, 11))
+    with pytest.raises(BadInput, match="int64 grid of the fiber polygon"):
+        polygon_of(TWISTED_CUBIC, (3, 3, 3, 3))
 
 
 def test_grid_box_is_capped_before_allocation(monkeypatch):
@@ -135,6 +137,11 @@ def test_grid_box_is_capped_before_allocation(monkeypatch):
     monkeypatch.setattr(fiberhom.np, "meshgrid", None)
     with pytest.raises(BadInput, match=f"has {4001 ** 2} points"):
         fiberhom.gh_grid(((1, 0), (0, 1), (-1, -1)), 2000)
+    # a fiber polygon meets the same cap: the polygon of (3000, 3000, 3000,
+    # 3000) holds 18,006,001 points in a box of 54,015,001
+    for query in (polygon_of, fiber_of):
+        with pytest.raises(BadInput, match=f"has 54015001 points, above the cap of {fiberhom.GRID_CAP}"):
+            query(TWISTED_CUBIC, (3000,) * 4)
 
 
 def test_closure_masks_are_capped_before_allocation(monkeypatch):
@@ -391,6 +398,16 @@ def test_polygon_of_counts_fiber():
         polygon_of(TWISTED_CUBIC, (1, -1, 1, 0))
     with pytest.raises(BadInput):
         polygon_of(TWISTED_CUBIC, (1, 1, 1))
+    # a raw rank-1 diagram: the polygon contains the whole line x = 0
+    with pytest.raises(Unbounded, match="recession direction"):
+        polygon_of(Lattice(((1, 0), (1, 0), (-2, 0))), (1, 1, 1))
+    with pytest.raises(Unbounded, match="whole plane"):
+        polygon_of(Lattice(((0, 0), (0, 0), (0, 0))), (1, 1, 1))
+    # only u = 0 has b_i . u <= 0 for the last three Gale vectors, whatever
+    # a_1 is; a is clipped to the box's int64 bound before the compare
+    big = (2 ** 70, 0, 0, 0)
+    assert polygon_of(TWISTED_CUBIC, big).points == ((0, 0),)
+    assert fiber_of(TWISTED_CUBIC, big).monomials == (big,)
 
 
 def test_hilbert_function_growth_is_degree():

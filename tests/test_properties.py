@@ -370,7 +370,10 @@ def test_polygon_points_count_the_class(rows, d, data):
     a = data.draw(st.sampled_from(comps))
     key = fiberhom._ctx(rows).key
     lat = lattice_from_gale(rows)
-    assert len(polygon_of(lat, a).points) == sum(key(b) == key(a) for b in comps)
+    points = polygon_of(lat, a).points
+    assert list(points) == sorted(set(points))
+    members = {tuple(x - dot2(r, u) for x, r in zip(a, rows)) for u in points}
+    assert members == {b for b in comps if key(b) == key(a)}
 
 
 # ---------------------------------------------------------------------------

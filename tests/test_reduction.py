@@ -2,6 +2,7 @@
 
 import pytest
 
+from galereg import reduction
 from galereg.errors import (
     BadInput,
     NotAllQuadrants,
@@ -162,6 +163,18 @@ def test_support_sets_degenerate_line():
     assert s1.b == frozenset({(0, 1), (1, 0)})
     for u in s1.b:
         assert 1 * u[0] + 1 * u[1] == 1  # (1,1).u = 1
+
+
+def test_pair_solutions_on_a_coincident_line():
+    # p = (1, 0), q = -p: u = (1, k) solves both, and b . u = 0 fixes k
+    # as -b.(1, 0) / b.(0, 1) when that quotient is an integer
+    p, q = (1, 0), (-1, 0)
+    assert reduction._pair_solutions(p, q, [(1, 1)]) == (((1, -1),), False)
+    assert reduction._pair_solutions(p, q, [(1, 1), (2, 2), (0, 0)]) == (((1, -1),), False)
+    assert reduction._pair_solutions(p, q, [(1, 2)]) == ((), False)  # k = -1/2
+    assert reduction._pair_solutions(p, q, [(1, 1), (1, -1)]) == ((), False)  # k = -1 and 1
+    assert reduction._pair_solutions(p, q, [(1, 0)]) == ((), False)  # b parallel to p
+    assert reduction._pair_solutions(p, q, [(0, 0)]) == (((1, 0), (1, -1)), True)
 
 
 def test_support_sets_bad_quadrant():
