@@ -27,7 +27,6 @@ from .errors import (
     PreconditionShape,
     PreconditionUnbalancedPair,
     RankDeficient,
-    Unbounded,
     UnknownSearch,
     WrongRank,
 )

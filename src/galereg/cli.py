@@ -130,8 +130,6 @@ def _lattice_from_args(args):
     if kind == "A":
         lattice = kernel_lattice(mat)
     elif kind == "basis":
-        if len(mat) != 2:
-            raise BadInput("a basis must consist of exactly two vectors")
         lattice = lattice_from_basis(mat)
     else:
         lattice = lattice_from_gale(mat)

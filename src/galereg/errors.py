@@ -22,11 +22,7 @@ class AmbientTooSmall(GaleregError):
 
 
 class WrongRank(GaleregError):
-    """Input matrix has the wrong shape or rational rank."""
-
-
-class Unbounded(GaleregError):
-    """A fiber polytope is unbounded; the defining data is invalid."""
+    """Input matrix or Gale vector has the wrong shape or rational rank."""
 
 
 class Degenerate(GaleregError):

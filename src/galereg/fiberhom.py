@@ -62,7 +62,9 @@ degree bound T.
 Every lattice polygon is listed by one box scan (:func:`_box`): G_H,
 and the fiber polygon {u : B u <= a} of a single class
 (:func:`polygon_of`, :func:`fiber_of`), whose box runs between the
-floors and ceilings of its vertices.  The scan is int64, behind an exact
+floors and ceilings of its vertices.  A fiber polygon is always
+bounded: B u <= 0 gives sum_i b_i . u = 0, hence B u = 0, and rank 2
+leaves u = 0 (see :func:`_polygon_points`).  The scan is int64, behind an exact
 bound on sum_i |b_i . u| over the box, and the box is capped at GRID_CAP
 points, so GRID_CAP bounds fiber polygons as well as G_H; both are
 checked before the box is allocated, and a box beyond either raises
@@ -110,7 +112,7 @@ from operator import sub
 
 import numpy as np
 
-from .errors import BadInput, Degenerate, InternalInconsistency, NotHomogeneous, Unbounded
+from .errors import BadInput, Degenerate, InternalInconsistency, NotHomogeneous
 from .intlinalg import dot2, det2, integer_kernel, mat_rank, rank_mod_p, rot90, smith_left
 from .zlattice import Lattice, is_nondegenerate, lattice_from_basis
 
@@ -721,22 +723,18 @@ class Polygon:
 def _polygon_points(lattice: Lattice, avec):
     """(points, vals) of the fiber polygon of avec, as :func:`_box` gives them.
 
-    A polygon with no recession direction and 0 in it (a >= 0) has a
-    vertex, so the box from the least vertex ceiling to the greatest
-    vertex floor is never empty and holds every lattice point of it.
+    The polygon {u : B u <= a} is bounded: if B u <= 0 then
+    sum_i b_i . u = 0 forces B u = 0, and B has rank 2, so u = 0 is its
+    only recession direction (:class:`~.zlattice.Lattice` guarantees
+    both).  A bounded polygon with 0 in it (a >= 0) has a vertex, so the
+    box from the least vertex ceiling to the greatest vertex floor is
+    never empty and holds every lattice point of it.
     """
     rows = lattice.rows
     if len(avec) != lattice.n:
         raise BadInput(f"degree vector has length {len(avec)}, expected {lattice.n}")
     if any(x < 0 for x in avec):
         raise BadInput("degree vector must be componentwise nonnegative")
-    nonzero = [r for r in rows if r != (0, 0)]
-    if not nonzero:
-        raise Unbounded("the fiber polytope is the whole plane")
-    for v in nonzero:
-        for cand in (rot90(v), rot90(rot90(rot90(v)))):
-            if all(dot2(r, cand) <= 0 for r in rows):
-                raise Unbounded("the fiber polytope has a recession direction")
     # each vertex is (x, y) / den with den > 0; keep its ceilings and floors
     ceils, floors = [], []
     for (i, ri), (j, rj) in combinations(enumerate(rows), 2):
@@ -762,8 +760,8 @@ def _polygon_points(lattice: Lattice, avec):
 def polygon_of(lattice: Lattice, a) -> Polygon:
     """Exact enumeration of the fiber polytope for the degree vector a >= 0.
 
-    Unbounded when the polygon has a recession direction; BadInput when
-    its bounding box holds more than GRID_CAP points.
+    BadInput when a has a negative entry or the wrong length, or when
+    the polygon's bounding box holds more than GRID_CAP points.
     """
     avec = tuple(int(x) for x in a)
     points, _ = _polygon_points(lattice, avec)
@@ -782,8 +780,6 @@ class FiberClass:
 def fiber_of(lattice: Lattice, a) -> FiberClass:
     """The fiber of the class of a, for a nonnegative integer vector a."""
     avec = tuple(int(x) for x in a)
-    if any(x < 0 for x in avec):
-        raise BadInput("fiber representatives must be nonnegative")
     _, vals = _polygon_points(lattice, avec)
     monos = tuple(sorted(tuple(map(sub, avec, v)) for v in vals.tolist()))
     return FiberClass(monos[0], sum(avec), monos)

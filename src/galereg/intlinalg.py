@@ -59,20 +59,22 @@ def rank_mod_p(rows, p: int) -> int:
     return rank
 
 
-def row_hermite(rows):
-    """Row Hermite normal form H of an integer matrix, with its transform.
+def integer_kernel(rows, ncols: int):
+    """Basis of {v in Z^ncols : M v = 0} as a tuple of row vectors.
 
-    Returns (H, U) with U unimodular and U*M = H.  H is the canonical
-    echelon form: pivots positive, entries above each pivot reduced into
-    [0, pivot), zero rows last.
+    Gcd steps bring M^T to echelon form E, tracking a unimodular U with
+    U M^T = E.  The nonzero rows of E are independent, so v = w U is in
+    the kernel exactly when w vanishes off the zero rows of E: the rows
+    of U there span the full integer kernel, which is always a
+    saturated sublattice.
     """
-    m = [list(r) for r in rows]
+    if not rows:
+        return tuple(tuple(int(i == j) for j in range(ncols)) for i in range(ncols))
+    m = [list(c) for c in zip(*rows)]  # M^T
     nrows = len(m)
-    ncols = len(m[0]) if m else 0
     u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     pivot_row = 0
-    pivot_cols = []
-    for col in range(ncols):
+    for col in range(len(rows)):
         if pivot_row == nrows:
             break
         # clear the column below pivot_row with gcd steps
@@ -96,33 +98,8 @@ def row_hermite(rows):
             if done:
                 break
         if m[pivot_row][col] != 0:
-            if m[pivot_row][col] < 0:
-                m[pivot_row] = [-a for a in m[pivot_row]]
-                u[pivot_row] = [-a for a in u[pivot_row]]
-            pivot_cols.append(col)
             pivot_row += 1
-    # reduce entries above each pivot
-    for i, col in enumerate(pivot_cols):
-        piv = m[i][col]
-        for r in range(i):
-            q = m[r][col] // piv
-            if q:
-                m[r] = [a - q * b for a, b in zip(m[r], m[i])]
-                u[r] = [a - q * b for a, b in zip(u[r], u[i])]
-    return tuple(tuple(r) for r in m), tuple(tuple(r) for r in u)
-
-
-def integer_kernel(rows, ncols: int):
-    """Basis of {v in Z^ncols : M v = 0} as a tuple of row vectors.
-
-    The returned basis spans the full integer kernel, which is always
-    a saturated sublattice.
-    """
-    if not rows:
-        return tuple(tuple(int(i == j) for j in range(ncols)) for i in range(ncols))
-    mt = [list(c) for c in zip(*rows)]  # ncols x nrows
-    h, u = row_hermite(mt)
-    return tuple(u[i] for i in range(len(h)) if all(x == 0 for x in h[i]))
+    return tuple(tuple(r) for r in u[pivot_row:])
 
 
 def smith_left(rows):

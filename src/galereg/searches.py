@@ -44,6 +44,7 @@ from .quadrangle import is_cohen_macaulay, is_complete_intersection
 from .zlattice import (
     Lattice,
     apply_right,
+    has_rank_two,
     is_nondegenerate,
     is_saturated,
     lattice_from_basis,
@@ -121,13 +122,6 @@ class SweepReport:
 
 # ---------------------------------------------------------------------------
 # shared machinery
-
-
-def _has_rank_two(rows) -> bool:
-    base = next((r for r in rows if r != (0, 0)), None)
-    if base is None:
-        return False
-    return any(base[0] * r[1] - base[1] * r[0] for r in rows)
 
 
 def _key_sorted(reps):
@@ -283,7 +277,7 @@ def _zero_sum_gales(n, max_coord):
                 last = (-sx - x, -sy - y)
                 if index.get(last, -1) >= i:
                     gale = (*rows, vectors[i], last)
-                    if _has_rank_two(gale):
+                    if has_rank_two(gale):
                         out.append(gale)
             return
         for i in range(start, len(vectors)):

@@ -17,6 +17,7 @@ from math import gcd
 
 from .errors import (
     AmbientTooSmall,
+    BadInput,
     NotHomogeneous,
     RankDeficient,
     WrongRank,
@@ -32,6 +33,16 @@ from .intlinalg import (
 )
 
 
+def has_rank_two(rows) -> bool:
+    """True when the integer pairs span the plane.
+
+    O(n): the rows span the plane exactly when some row is not parallel
+    to the first nonzero one.
+    """
+    base = next((r for r in rows if r != (0, 0)), None)
+    return base is not None and any(det2(base, r) for r in rows)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """A rank-2 sublattice of Z^n, n >= 3, orthogonal to (1, ..., 1).
@@ -39,10 +50,40 @@ class Lattice:
     ``rows[i]`` is the i-th Gale vector; the two columns of the matrix
     they form are a basis of the lattice.  Instances are immutable and
     hashable; build them with :func:`lattice_from_basis`,
-    :func:`lattice_from_gale` or :func:`kernel_lattice`.
+    :func:`lattice_from_gale` or :func:`kernel_lattice`, which coerce
+    their input, or from a tuple of integer pairs directly.
+
+    A lattice is valid by construction: a tuple (else WrongRank) of at
+    least 3 rows (else AmbientTooSmall), each a pair of integers (else
+    WrongRank), summing to zero (else NotHomogeneous), of rank 2 (else
+    RankDeficient).  No other code checks these again, and two
+    consequences need no check:
+
+    * Every fiber polygon {u in Z^2 : B u <= a} is bounded.  If B u <= 0
+      then sum_i b_i . u = 0 forces B u = 0, and rank 2 gives u = 0; so
+      the polygon has no recession direction.
+    * At least 3 rows are nonzero.  Rank 2 needs two nonzero rows, and
+      if only two were nonzero they would sum to zero, hence be
+      parallel, and the rank would be 1.
     """
 
     rows: tuple
+
+    def __post_init__(self):
+        rows = self.rows
+        if type(rows) is not tuple:
+            raise WrongRank(f"the Gale vectors must form a tuple, got {type(rows).__name__}")
+        if len(rows) < 3:
+            raise AmbientTooSmall(f"need at least 3 coordinates, got {len(rows)}")
+        for r in rows:
+            if type(r) is not tuple or len(r) != 2 or type(r[0]) is not int or type(r[1]) is not int:
+                raise WrongRank(f"a Gale vector must be a pair of integers, got {r!r}")
+        sx = sum(r[0] for r in rows)
+        sy = sum(r[1] for r in rows)
+        if (sx, sy) != (0, 0):
+            raise NotHomogeneous(f"basis columns sum to ({sx}, {sy}), not zero")
+        if not has_rank_two(rows):
+            raise RankDeficient("basis columns are rationally dependent")
 
     @property
     def n(self) -> int:
@@ -56,36 +97,23 @@ class Lattice:
         return {"n": self.n, "basis": [list(c) for c in self.columns()]}
 
 
-def _validate_rows(rows):
-    if len(rows) < 3:
-        raise AmbientTooSmall(f"need at least 3 coordinates, got {len(rows)}")
-    sx = sum(r[0] for r in rows)
-    sy = sum(r[1] for r in rows)
-    if (sx, sy) != (0, 0):
-        raise NotHomogeneous(f"basis columns sum to ({sx}, {sy}), not zero")
-    if not any(det2(a, b) for a, b in combinations(rows, 2)):
-        raise RankDeficient("basis columns are rationally dependent")
-
-
 def lattice_from_basis(columns) -> Lattice:
     """Build a lattice from two integer basis columns of equal length.
 
-    Raises AmbientTooSmall, NotHomogeneous or RankDeficient when the
-    columns do not define a valid homogeneous rank-2 lattice.
+    BadInput unless there are exactly two columns, WrongRank when their
+    lengths differ; :class:`Lattice` checks the rest.
     """
+    if len(columns) != 2:
+        raise BadInput("a basis must consist of exactly two vectors")
     c1, c2 = columns
     if len(c1) != len(c2):
         raise WrongRank("basis columns have different lengths")
-    rows = tuple((int(a), int(b)) for a, b in zip(c1, c2))
-    _validate_rows(rows)
-    return Lattice(rows)
+    return Lattice(tuple((int(a), int(b)) for a, b in zip(c1, c2)))
 
 
 def lattice_from_gale(vectors) -> Lattice:
     """Build a lattice whose Gale diagram is the given vector sequence."""
-    rows = tuple((int(v[0]), int(v[1])) for v in vectors)
-    _validate_rows(rows)
-    return Lattice(rows)
+    return Lattice(tuple(tuple(int(x) for x in v) for v in vectors))
 
 
 def kernel_lattice(a_matrix) -> Lattice:
@@ -177,13 +205,10 @@ def is_nondegenerate(lattice: Lattice) -> bool:
 def strip_zero_coordinates(lattice: Lattice) -> Lattice:
     """Drop coordinates whose Gale vector is zero.
 
-    The corresponding variables do not appear in the ideal.  Raises
-    AmbientTooSmall when fewer than three coordinates remain.
+    The corresponding variables do not appear in the ideal.  At least 3
+    rows remain (see :class:`Lattice`), so the result is valid.
     """
-    rows = tuple(r for r in lattice.rows if r != (0, 0))
-    if len(rows) < 3:
-        raise AmbientTooSmall("fewer than 3 nonzero Gale vectors remain")
-    return Lattice(rows)
+    return Lattice(tuple(r for r in lattice.rows if r != (0, 0)))
 
 
 def apply_right(v, u):

@@ -204,6 +204,22 @@ def test_file_lattice_alias(capsys, tmp_path):
     assert (doc["degree"], doc["regularity"]) == (3, 2)
 
 
+@pytest.mark.parametrize("key, mat, error", [
+    ("gale", [[1], [0], [-1]], "WrongRank"),
+    ("gale", [[1, 0, 5], [0, 1, 5], [-1, -1, -10], [0, 0, 0]], "WrongRank"),
+    ("gale", [[1, 0], [-1, 0]], "AmbientTooSmall"),
+    ("gale", [[1, 0], [1, 0], [-2, 0]], "RankDeficient"),
+    ("basis", [[1, -2, 1, 0], [0, 1, -2, 1], [1, 0, 0, -1]], "BadInput"),
+])
+def test_file_refuses_invalid_diagrams(capsys, tmp_path, key, mat, error):
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({key: mat}))
+    code, doc = run(capsys, "analyze", "--file", str(path))
+    assert code == 2
+    assert set(doc) == {"error"}
+    assert doc["error"]["type"] == error
+
+
 def test_file_missing(capsys, tmp_path):
     code, doc = run(capsys, "analyze", "--file", str(tmp_path / "nope.json"))
     assert code == 2

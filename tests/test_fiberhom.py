@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 import galereg.fiberhom as fiberhom
-from galereg.errors import BadInput, Degenerate, InternalInconsistency, NotHomogeneous, Unbounded
+from galereg.errors import BadInput, Degenerate, InternalInconsistency, NotHomogeneous, RankDeficient
 from galereg.fiberhom import (
     BettiTable,
     betti_table,
@@ -394,15 +394,17 @@ def test_polygon_of_counts_fiber():
     fib = fiber_of(TWISTED_CUBIC, (1, 1, 1, 0))
     poly = polygon_of(TWISTED_CUBIC, (1, 1, 1, 0))
     assert len(poly.points) == len(fib.monomials)
-    with pytest.raises(BadInput):
-        polygon_of(TWISTED_CUBIC, (1, -1, 1, 0))
-    with pytest.raises(BadInput):
-        polygon_of(TWISTED_CUBIC, (1, 1, 1))
-    # a raw rank-1 diagram: the polygon contains the whole line x = 0
-    with pytest.raises(Unbounded, match="recession direction"):
-        polygon_of(Lattice(((1, 0), (1, 0), (-2, 0))), (1, 1, 1))
-    with pytest.raises(Unbounded, match="whole plane"):
-        polygon_of(Lattice(((0, 0), (0, 0), (0, 0))), (1, 1, 1))
+    for query in (polygon_of, fiber_of):
+        with pytest.raises(BadInput, match="nonnegative"):
+            query(TWISTED_CUBIC, (1, -1, 1, 0))
+        with pytest.raises(BadInput, match="length 3"):
+            query(TWISTED_CUBIC, (1, 1, 1))
+    # the diagrams whose polygons would be unbounded (a rank-1 one holds
+    # the line x = 0, an all-zero one the plane) are no lattices at all
+    with pytest.raises(RankDeficient):
+        Lattice(((1, 0), (1, 0), (-2, 0)))
+    with pytest.raises(RankDeficient):
+        Lattice(((0, 0), (0, 0), (0, 0)))
     # only u = 0 has b_i . u <= 0 for the last three Gale vectors, whatever
     # a_1 is; a is clipped to the box's int64 bound before the compare
     big = (2 ** 70, 0, 0, 0)

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galereg.intlinalg import (
     det2,
@@ -13,7 +14,6 @@ from galereg.intlinalg import (
     primitive_part,
     rank_mod_p,
     rot90,
-    row_hermite,
     smith_left,
     solve_2x2,
 )
@@ -36,30 +36,90 @@ def test_rank_mod_p():
     assert rank_mod_p([(6, 0), (0, 10)], 5) == 1
 
 
-def test_row_hermite_canonical():
-    h, _ = row_hermite([(2, 4, 4), (-6, 6, 12), (10, 4, 16)])
-    # pivots positive, entries above a pivot reduced
-    flat = [r for r in h if any(r)]
-    pivots = []
-    for r in flat:
-        j = next(i for i, x in enumerate(r) if x)
-        assert r[j] > 0
-        for above in flat[: flat.index(r)]:
-            assert 0 <= above[j] < r[j]
-        pivots.append(j)
-    assert pivots == sorted(pivots)
+def hermite_kernel(rows, ncols):
+    """integer_kernel through the full row Hermite form of M^T, as reference.
+
+    The form also makes each pivot positive and reduces the entries
+    above it; the kernel is read off the transform rows of its zero rows.
+    """
+    if not rows:
+        return tuple(tuple(int(i == j) for j in range(ncols)) for i in range(ncols))
+    m = [list(c) for c in zip(*rows)]
+    nrows, width = len(m), len(m[0])
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    pivot_row = 0
+    pivot_cols = []
+    for col in range(width):
+        if pivot_row == nrows:
+            break
+        while True:
+            rs = [r for r in range(pivot_row, nrows) if m[r][col] != 0]
+            if not rs:
+                break
+            r_min = min(rs, key=lambda r: abs(m[r][col]))
+            if r_min != pivot_row:
+                m[pivot_row], m[r_min] = m[r_min], m[pivot_row]
+                u[pivot_row], u[r_min] = u[r_min], u[pivot_row]
+            piv = m[pivot_row][col]
+            done = True
+            for r in range(pivot_row + 1, nrows):
+                if m[r][col] != 0:
+                    q = m[r][col] // piv
+                    m[r] = [a - q * b for a, b in zip(m[r], m[pivot_row])]
+                    u[r] = [a - q * b for a, b in zip(u[r], u[pivot_row])]
+                    if m[r][col] != 0:
+                        done = False
+            if done:
+                break
+        if m[pivot_row][col] != 0:
+            if m[pivot_row][col] < 0:
+                m[pivot_row] = [-a for a in m[pivot_row]]
+                u[pivot_row] = [-a for a in u[pivot_row]]
+            pivot_cols.append(col)
+            pivot_row += 1
+    for i, col in enumerate(pivot_cols):
+        piv = m[i][col]
+        for r in range(i):
+            q = m[r][col] // piv
+            if q:
+                m[r] = [a - q * b for a, b in zip(m[r], m[i])]
+                u[r] = [a - q * b for a, b in zip(u[r], u[i])]
+    return tuple(tuple(u[i]) for i in range(nrows) if not any(m[i]))
 
 
-def test_row_hermite_transform():
-    m = [(3, 1), (1, 2)]
-    h, u = row_hermite(m)
-    # U*M = H and U is unimodular
-    prod = [
-        [sum(u[i][k] * m[k][j] for k in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-    assert [tuple(r) for r in prod] == [tuple(r) for r in h]
-    assert abs(u[0][0] * u[1][1] - u[0][1] * u[1][0]) == 1
+@st.composite
+def small_matrices(draw):
+    """Integer matrices with 1..7 columns, at most that many rows, entries <= 4."""
+    ncols = draw(st.integers(1, 7))
+    nrows = draw(st.integers(1, ncols))
+    entry = st.integers(-4, 4)
+    return [tuple(draw(entry) for _ in range(ncols)) for _ in range(nrows)], ncols
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_matrices())
+def test_integer_kernel_matches_the_hermite_reference(case):
+    rows, ncols = case
+    assert integer_kernel(rows, ncols) == hermite_kernel(rows, ncols)
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_matrices())
+def test_integer_kernel_spans_the_saturated_kernel(case):
+    """The basis has the kernel's rank, lies in it, and is saturated.
+
+    A saturated sublattice of the kernel of full rank is the whole
+    integer kernel.  Saturation: the diagonal of any U B V = D has
+    product the gcd of the maximal minors of B, so every entry is 1.
+    """
+    rows, ncols = case
+    kern = integer_kernel(rows, ncols)
+    assert len(kern) == ncols - mat_rank(rows)
+    assert all(sum(x * y for x, y in zip(r, v)) == 0 for r in rows for v in kern)
+    if kern:
+        assert mat_rank(kern) == len(kern)
+        _, diag = smith_left(kern)
+        assert diag == (1,) * len(kern)
 
 
 def test_integer_kernel_saturated():

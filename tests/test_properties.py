@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import ceil, floor, gcd
+from math import ceil, comb, floor, gcd
 from unittest import mock
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -15,6 +15,7 @@ from galereg.fiberhom import (
     degree_and_regularity,
     hilbert_degree,
     hilbert_function,
+    hilbert_numerator,
     polygon_of,
     reg_deg_via_hilbert,
 )
@@ -480,6 +481,52 @@ def test_oracle_horizon_is_complete(rows, zero_row):
     assume(zero_row or not is_saturated(lat))
     deg, _, table = degree_and_regularity(lat)
     assert table.entries == betti_table(lat, deg + 4).entries
+
+
+# ---------------------------------------------------------------------------
+# the Hilbert numerator from the oracle's Betti table
+
+
+def oracle_numerator(lat):
+    """K(t) = 1 + sum_i (-1)^i beta_{i,t} t^t from the oracle, through deg + 2."""
+    deg, _, table = degree_and_regularity(lat)
+    k = [1] + [0] * (deg + 2)
+    for e in table.entries:
+        k[e.total_degree] += (-1) ** e.i * e.rank
+    return tuple(k)
+
+
+def brute_numerator(rows, through):
+    """K(t) through the given degree from classes counted by the exact key.
+
+    H(d) is the number of distinct class keys among the monomials of
+    degree d, and K(t) = sum_j (-1)^j C(n, j) H(t - j).
+    """
+    key = fiberhom._ctx(rows).key
+    n = len(rows)
+    hf = [len({key(a) for a in fiberhom._py_compositions(n, d)}) for d in range(through + 1)]
+    return tuple(sum((-1) ** j * comb(n, j) * hf[t - j] for j in range(min(t, n) + 1))
+                 for t in range(through + 1))
+
+
+def test_oracle_numerator_is_the_hilbert_numerator_on_the_sweep():
+    reps, _ = sweep_orbits(6, 2)
+    assert len(reps) == 395
+    for lat in reps:
+        assert oracle_numerator(lat) == hilbert_numerator(lat, hilbert_degree(lat) + 2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(packed_key_rows())
+@example(((2, 1), (0, 0), (-2, 1), (2, -1), (0, 0), (-2, -1)))  # not saturated
+@example(((1, 1), (2, -1), (-1, -1), (-2, 1)))  # not Cohen-Macaulay
+def test_oracle_numerator_matches_brute_force_class_counts(rows):
+    """n <= 6, coordinates <= 3, zero rows and non-saturated draws included."""
+    lat = lattice_from_gale(rows)
+    assume(is_nondegenerate(lat))
+    through = hilbert_degree(lat) + 2
+    assume(comb(through + lat.n, lat.n) <= 5000)  # monomials through the horizon
+    assert oracle_numerator(lat) == brute_numerator(rows, through)
 
 
 # ---------------------------------------------------------------------------

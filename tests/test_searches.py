@@ -13,7 +13,6 @@ from galereg.searches import (
     _box_orbits,
     _box_vectors,
     _ci_classes,
-    _has_rank_two,
     _quadric_vectors,
     _zero_sum_gales,
     check_golden,
@@ -221,7 +220,7 @@ def test_zero_sum_gales_match_brute_force(max_coord):
     for n in range(1, 6):
         brute = [
             rows for rows in combinations_with_replacement(vectors, n)
-            if sum(x for x, _ in rows) == sum(y for _, y in rows) == 0 and _has_rank_two(rows)
+            if sum(x for x, _ in rows) == sum(y for _, y in rows) == 0 and mat_rank(rows) == 2
         ]
         assert _zero_sum_gales(n, max_coord) == brute
 

@@ -4,13 +4,16 @@ import pytest
 
 from galereg.errors import (
     AmbientTooSmall,
+    BadInput,
     NotHomogeneous,
     RankDeficient,
+    WrongRank,
 )
 from galereg.zlattice import (
     Lattice,
     contains,
     gale_equivalent,
+    has_rank_two,
     is_nondegenerate,
     is_saturated,
     kernel_lattice,
@@ -56,6 +59,39 @@ def test_constructor_validation():
         lattice_from_gale([(1, 0), (0, 1), (0, -1)])
     with pytest.raises(RankDeficient):
         lattice_from_gale([(1, 0), (1, 0), (-2, 0)])
+    # the type itself refuses every invalid diagram
+    for rows, error, match in [
+        ([(1, 1), (1, -2), (-2, 1)], WrongRank, "must form a tuple, got list"),
+        ((), AmbientTooSmall, "need at least 3 coordinates, got 0"),
+        (((1,), (0,), (-1,)), WrongRank, "pair of integers"),
+        (((1, 0, 5), (0, 1, 5), (-1, -1, -10), (0, 0, 0)), WrongRank, "pair of integers"),
+        (((1, 0), (0, 1), [-1, -1]), WrongRank, "pair of integers"),
+        (((1, 0), (0, 1), (-1.0, -1)), WrongRank, "pair of integers"),
+        (((1, 0), (0, 1), (0, -1)), NotHomogeneous, r"sum to \(1, 0\)"),
+        (((0, 0), (0, 0), (0, 0)), RankDeficient, "rationally dependent"),
+    ]:
+        with pytest.raises(error, match=match):
+            Lattice(rows)
+
+
+def test_constructors_only_coerce():
+    assert lattice_from_gale([[1, 1], [1, -2], [-2, 1]]).rows == ((1, 1), (1, -2), (-2, 1))
+    # a third coordinate is kept, and the lattice refuses it
+    with pytest.raises(WrongRank):
+        lattice_from_gale([(1, 0, 5), (0, 1, 5), (-1, -1, -10), (0, 0, 0)])
+    with pytest.raises(WrongRank):
+        lattice_from_gale([[1], [0], [-1]])
+    with pytest.raises(BadInput, match="exactly two vectors"):
+        lattice_from_basis([(1, -2, 1, 0), (0, 1, -2, 1), (1, 0, 0, -1)])
+    with pytest.raises(WrongRank, match="different lengths"):
+        lattice_from_basis([(1, -2, 1, 0), (0, 1, -1)])
+
+
+def test_has_rank_two():
+    assert has_rank_two(((0, 0), (1, 0), (0, 1), (-1, -1)))
+    assert not has_rank_two(((0, 0), (1, 0), (-2, 0), (1, 0)))
+    assert not has_rank_two(((0, 0),) * 3)
+    assert not has_rank_two(())
 
 
 def test_contains():
