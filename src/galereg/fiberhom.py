@@ -113,7 +113,7 @@ from operator import sub
 import numpy as np
 
 from .errors import BadInput, Degenerate, InternalInconsistency, NotHomogeneous
-from .intlinalg import dot2, det2, integer_kernel, mat_rank, rank_mod_p, rot90, smith_left
+from .intlinalg import dot2, det2, integer_kernel, mat_rank, rot90, smith_left
 from .zlattice import Lattice, is_nondegenerate, lattice_from_basis
 
 _INT64_SAFE = 1 << 62
@@ -129,6 +129,8 @@ MONOMIAL_CAP = 1 << 21  # monomials listed for Hilbert counts and curve spans; s
 class _Ctx:
     """Per-lattice data for keying residue classes of Z^n modulo the span.
 
+    The basis rows have full column rank: a Lattice has rank 2 by
+    construction, and a span of rank n - 2 is checked before it is keyed.
     ``torsion`` holds the rows of U whose coordinate is read modulo a
     diagonal entry m > 1, as (row, m); ``free`` the rows read exactly,
     as (row, span) with span = max(row, 0) - min(row, 0).
@@ -141,8 +143,6 @@ class _Ctx:
         self.n = len(rows)
         self.r = len(rows[0])
         u, diag = smith_left(rows)
-        if len(diag) != self.r:
-            raise InternalInconsistency("basis matrix does not have full column rank")
         self.u = u
         self.mods = diag
         self.torsion = tuple((u[k], m) for k, m in enumerate(diag) if m > 1)
@@ -380,7 +380,7 @@ def _homology_ranks(facets, top: int, field):
             for pos in range(k + 1):
                 sub = face[:pos] + face[pos + 1:]
                 mat[index[k - 1][sub]][ci] = -1 if pos % 2 else 1
-        ranks[k] = rank_mod_p(mat, field) if field else mat_rank(mat)
+        ranks[k] = mat_rank(mat, field)
     return tuple(len(dims[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1))
 
 
@@ -593,8 +593,7 @@ def degree_and_regularity_of_span(columns, field=None):
     if len(columns) == 2:
         return _lattice_oracle(lattice_from_basis(columns), field)
     rows = tuple(zip(*columns))
-    if (len(columns) != n - 2 or mat_rank(columns) < n - 2
-            or any(m != 1 for m in _ctx(rows).mods)):
+    if len(columns) != n - 2 or smith_left(rows)[1] != (1,) * (n - 2):
         raise BadInput("supported spans: rank 2, or saturated of rank n - 2")
     if any(sum(c) for c in columns):
         raise NotHomogeneous("the span is not orthogonal to the all-ones vector")

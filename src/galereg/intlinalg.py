@@ -4,59 +4,22 @@ Matrices are lists (or tuples) of row tuples of Python ints, so every
 computation is arbitrary precision.  All routines are deterministic:
 given the same input they produce the same output, which the rest of
 the package relies on for canonical forms.
+
+One routine answers each exact question:
+
+- :func:`smith_left` diagonalizes U*M*V = D.  It keys residue classes
+  modulo a column lattice, decides saturation (every entry of D is 1),
+  and through :func:`mat_rank` gives the rank over Q and over GF(p).
+- :func:`integer_kernel` gives a basis of the integer kernel by its own
+  gcd elimination, so the Gale diagrams built from it stay fixed.
+- :func:`solve_2x2` solves a 2 x 2 integer system by Cramer's rule.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-
-def mat_rank(rows) -> int:
-    """Rank over the rationals, by fraction-free Gaussian elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def rank_mod_p(rows, p: int) -> int:
-    """Rank of the matrix over the prime field GF(p)."""
-    m = [[x % p for x in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        m[rank] = [(x * inv) % p for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+from .errors import BadInput
 
 
 def integer_kernel(rows, ncols: int):
@@ -66,8 +29,12 @@ def integer_kernel(rows, ncols: int):
     U M^T = E.  The nonzero rows of E are independent, so v = w U is in
     the kernel exactly when w vanishes off the zero rows of E: the rows
     of U there span the full integer kernel, which is always a
-    saturated sublattice.
+    saturated sublattice.  Rows of a width other than ncols raise
+    BadInput.
     """
+    widths = {len(r) for r in rows} - {ncols}
+    if widths:
+        raise BadInput(f"integer_kernel: rows of width {min(widths)}, expected {ncols}")
     if not rows:
         return tuple(tuple(int(i == j) for j in range(ncols)) for i in range(ncols))
     m = [list(c) for c in zip(*rows)]  # M^T
@@ -100,6 +67,20 @@ def integer_kernel(rows, ncols: int):
         if m[pivot_row][col] != 0:
             pivot_row += 1
     return tuple(tuple(r) for r in u[pivot_row:])
+
+
+def mat_rank(rows, p=None) -> int:
+    """Rank over the rationals, or over the prime field GF(p) when p is given.
+
+    Read off the diagonal D of U*M*V = D from :func:`smith_left`: its
+    length is the rank over Q.  U and V are unimodular, hence also
+    invertible mod p, so the rank over GF(p) is the number of diagonal
+    entries that p does not divide.
+    """
+    diag = smith_left(rows)[1]
+    if p is None:
+        return len(diag)
+    return sum(1 for d in diag if d % p)
 
 
 def smith_left(rows):

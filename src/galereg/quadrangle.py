@@ -83,8 +83,7 @@ def _imbalancing_shear_exists(rows, v) -> bool:
     the ceiling of the greatest lower bound; the floor of a minimum is
     the minimum of the floors, and likewise for ceilings and maxima.
     """
-    g, x, y = xgcd(v[0], v[1])
-    assert g == 1
+    _, x, y = xgcd(v[0], v[1])  # v is primitive, so the gcd is 1
     u0 = (x, y)
     omega = rot90(v)
     lo = hi = None

@@ -41,7 +41,7 @@ from .errors import (
     PreconditionUnbalancedPair,
 )
 from .fiberhom import fiber_of, hilbert_degree
-from .intlinalg import det2, dot2, primitive_part, rot90, xgcd
+from .intlinalg import det2, dot2, primitive_part, rot90, solve_2x2, xgcd
 from .quadrangle import SyzygyQuadrangle, quadrangle_multidegree, regularity_fast
 from .zlattice import Lattice, lattice_from_gale
 
@@ -283,13 +283,9 @@ def _pair_solutions(p, q, others):
     """
     if p == (0, 0) or q == (0, 0):
         return (), False
-    d = det2(p, q)
-    if d != 0:
-        xn, yn = q[1] + p[1], -p[0] - q[0]
-        if xn % d or yn % d:
-            return (), False
-        u = (xn // d, yn // d)
-        if all(dot2(b, u) == 0 for b in others):
+    if det2(p, q) != 0:
+        u = solve_2x2(p, q, (1, -1))
+        if u is not None and all(dot2(b, u) == 0 for b in others):
             return (u,), False
         return (), False
     if (q[0], q[1]) != (-p[0], -p[1]):

@@ -137,9 +137,7 @@ def kernel_lattice(a_matrix) -> Lattice:
     ones = tuple(1 for _ in range(n))
     if mat_rank(rows + [ones]) != n - 2:
         raise NotHomogeneous("the all-ones vector is not in the row span")
-    basis = integer_kernel(rows, n)
-    assert len(basis) == 2
-    return lattice_from_basis(basis)
+    return lattice_from_basis(integer_kernel(rows, n))
 
 
 def minor_gcd(lattice: Lattice) -> int:
@@ -224,22 +222,16 @@ def transform_lattice(lattice: Lattice, u) -> Lattice:
 def _transition(pair_from, pair_to):
     """Integer 2 x 2 matrix U with pair_from[k] * U = pair_to[k], or None.
 
-    Only unimodular solutions are returned.
+    Column k of U is the solve_2x2 solution of the system whose rows are
+    pair_from and whose right side is column k of pair_to; only
+    unimodular solutions are returned.
     """
-    dg = det2(pair_from[0], pair_from[1])
-    # U = M_from^{-1} M_to, computed by Cramer entrywise
     f0, f1 = pair_from
     t0, t1 = pair_to
-    u00 = f1[1] * t0[0] - f0[1] * t1[0]
-    u01 = f1[1] * t0[1] - f0[1] * t1[1]
-    u10 = f0[0] * t1[0] - f1[0] * t0[0]
-    u11 = f0[0] * t1[1] - f1[0] * t0[1]
-    if any(x % dg for x in (u00, u01, u10, u11)):
+    cols = [solve_2x2(f0, f1, (t0[k], t1[k])) for k in range(2)]
+    if None in cols or abs(det2(*cols)) != 1:
         return None
-    u = ((u00 // dg, u01 // dg), (u10 // dg, u11 // dg))
-    if abs(u[0][0] * u[1][1] - u[0][1] * u[1][0]) != 1:
-        return None
-    return u
+    return tuple(zip(*cols))
 
 
 def gale_equivalent(g, h, up_to_permutation: bool = False) -> bool:

@@ -38,13 +38,7 @@ from galereg.zlattice import (
     lattice_from_gale,
     permutation_canonical_key,
 )
-
-TWISTED_CUBIC = kernel_lattice([(1, 1, 1, 1), (0, 1, 2, 3)])
-CI_22 = lattice_from_gale([(0, 2), (2, 0), (0, -2), (-2, 0)])
-
-
-def n4_family(d):
-    return lattice_from_gale([(1, 0), (-1, 1), (-1, -d + 1), (1, d - 2)])
+from shared import CI_22, CM_NONCI_N3, TWISTED_CUBIC, n4_family
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +337,7 @@ def test_classify_maximal_ci_outside_table():
 
 def test_classify_maximal_rejects_bad_inputs():
     with pytest.raises(NotSaturated):
-        classify_maximal(lattice_from_gale([(1, 1), (1, -2), (-2, 1)]))
+        classify_maximal(CM_NONCI_N3)
     with pytest.raises(Degenerate):
         classify_maximal(
             kernel_lattice([(1, 0, 0, 1, 0), (0, 1, 1, 0, 1), (1, 1, 1, 0, 0)])

@@ -8,7 +8,6 @@ import pytest
 import galereg.fiberhom as fiberhom
 from galereg.errors import BadInput, Degenerate, InternalInconsistency, NotHomogeneous, RankDeficient
 from galereg.fiberhom import (
-    BettiTable,
     betti_table,
     degree_and_regularity,
     degree_and_regularity_of_span,
@@ -20,15 +19,8 @@ from galereg.fiberhom import (
     reg_deg_via_hilbert,
     regularity_from_numerator,
 )
-from galereg.zlattice import Lattice, contains, kernel_lattice, lattice_from_gale
-
-TWISTED_CUBIC = kernel_lattice([(1, 1, 1, 1), (0, 1, 2, 3)])
-CI_22 = lattice_from_gale([(0, 2), (2, 0), (0, -2), (-2, 0)])
-CM_NONCI_N3 = lattice_from_gale([(1, 1), (1, -2), (-2, 1)])
-
-
-def n4_family(d):
-    return lattice_from_gale([(1, 0), (-1, 1), (-1, -d + 1), (1, d - 2)])
+from galereg.zlattice import Lattice, kernel_lattice, lattice_from_gale
+from shared import CI_22, CM_NONCI_N3, RP2, TWISTED_CUBIC, n4_family, naive_hilbert
 
 
 # ---------------------------------------------------------------------------
@@ -65,30 +57,10 @@ def test_core_keeps_maximal_faces():
 # independent brute-force cross-check of the fiber grouping
 
 
-def _compositions(n, d):
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in _compositions(n - 1, d - first):
-            yield (first,) + rest
-
-
-def _naive_hilbert(lat, d):
-    reps = []
-    for a in _compositions(lat.n, d):
-        diff_in = (
-            contains(lat, tuple(x - y for x, y in zip(a, r))) for r in reps
-        )
-        if not any(diff_in):
-            reps.append(a)
-    return len(reps)
-
-
 @pytest.mark.parametrize("lat", [TWISTED_CUBIC, CI_22, CM_NONCI_N3, n4_family(4)])
 def test_hilbert_function_against_naive_grouping(lat):
     for d in range(6):
-        assert hilbert_function(lat, d) == _naive_hilbert(lat, d)
+        assert hilbert_function(lat, d) == naive_hilbert(lat, d)
 
 
 @pytest.mark.parametrize("lat", [TWISTED_CUBIC, CI_22, CM_NONCI_N3, n4_family(4)])
@@ -203,19 +175,14 @@ def test_wide_diagram_fibers_share_the_memo():
     assert [(e.i, e.total_degree) for e in table.entries] == [(1, 4), (1, 4), (2, 8)]
 
 
-# the 6-vertex real projective plane: acyclic over Q, not over GF(2)
-RP2_FACETS = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-              (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5))
-
-
 def test_rp2_is_its_own_core_and_its_cone_a_point():
-    assert fiberhom._core(masks(RP2_FACETS)) == masks(RP2_FACETS)
-    assert fiberhom._core(masks(f + (6,) for f in RP2_FACETS)) == (1,)
+    assert fiberhom._core(RP2) == tuple(sorted(RP2))
+    assert fiberhom._core([m | 1 << 6 for m in RP2]) == (1,)
 
 
 @pytest.mark.parametrize("fields", [(None, 2), (2, None)])
 def test_homology_memo_keys_on_the_field(fields):
-    core = fiberhom._core(masks(RP2_FACETS))
+    core = fiberhom._core(RP2)
     expected = {None: (0, 0, 0), 2: (0, 1, 1)}
     fiberhom._homology_ranks.cache_clear()
     for field in fields:

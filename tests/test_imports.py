@@ -2,7 +2,9 @@
 
 Every name a module imports must be used in it, and no module imports
 another module's private (underscore) name.  ``__init__.py`` is exempt
-from the first rule: its imports are the package's exports.
+from the first rule: its imports are the package's exports.  No module
+holds an ``assert`` statement: ``python -O`` strips them, and every
+check should raise a GaleregError instead.
 """
 
 import ast
@@ -58,3 +60,9 @@ def test_the_check_sees_both_faults():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_imports_are_used_and_public(path):
     assert import_problems(path.read_text(), exports=path.name == "__init__.py") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_has_no_assert(path):
+    tree = ast.parse(path.read_text())
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []

@@ -1,10 +1,12 @@
 """Exact integer linear algebra primitives."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galereg.errors import BadInput
 from galereg.intlinalg import (
     det2,
     dot2,
@@ -12,7 +14,6 @@ from galereg.intlinalg import (
     is_visible,
     mat_rank,
     primitive_part,
-    rank_mod_p,
     rot90,
     smith_left,
     solve_2x2,
@@ -30,10 +31,15 @@ def test_mat_rank():
 def test_rank_mod_p():
     # rank drops mod 2 but not mod 3
     m = [(2, 0), (0, 1)]
-    assert rank_mod_p(m, 2) == 1
-    assert rank_mod_p(m, 3) == 2
-    assert rank_mod_p([(6, 0), (0, 10)], 2) == 0
-    assert rank_mod_p([(6, 0), (0, 10)], 5) == 1
+    assert mat_rank(m, 2) == 1
+    assert mat_rank(m, 3) == 2
+    assert mat_rank([(6, 0), (0, 10)], 2) == 0
+    assert mat_rank([(6, 0), (0, 10)], 5) == 1
+    # a diagonal (2, 3) hidden by unimodular mixing: rank 1 mod 2 and mod 3
+    assert mat_rank([(2, 3), (4, 9)], 2) == 1
+    assert mat_rank([(2, 3), (4, 9)], 3) == 1
+    assert mat_rank([(2, 3), (4, 9)], 5) == 2
+    assert mat_rank([], 2) == 0
 
 
 def hermite_kernel(rows, ncols):
@@ -96,6 +102,36 @@ def small_matrices(draw):
     return [tuple(draw(entry) for _ in range(ncols)) for _ in range(nrows)], ncols
 
 
+def gauss_rank(rows, p=None):
+    """Rank by Gaussian elimination over Q, in Fractions, or over GF(p)."""
+    if p is None:
+        m = [[Fraction(x) for x in r] for r in rows]
+    else:
+        m = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = 1 / m[rank][col] if p is None else pow(m[rank][col], -1, p)
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] * inv
+            m[r] = [a - f * b if p is None else (a - f * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_matrices())
+def test_mat_rank_matches_gaussian_elimination(case):
+    """The Smith-diagonal rank over Q and GF(p) against plain elimination."""
+    rows, _ = case
+    for m in (rows, list(zip(*rows))):
+        for p in (None, 2, 3, 7):
+            assert mat_rank(m, p) == gauss_rank(m, p)
+
+
 @settings(deadline=None, max_examples=300)
 @given(small_matrices())
 def test_integer_kernel_matches_the_hermite_reference(case):
@@ -120,6 +156,14 @@ def test_integer_kernel_spans_the_saturated_kernel(case):
         assert mat_rank(kern) == len(kern)
         _, diag = smith_left(kern)
         assert diag == (1,) * len(kern)
+
+
+def test_integer_kernel_refuses_a_width_it_does_not_use():
+    with pytest.raises(BadInput, match="width 3, expected 2"):
+        integer_kernel([(1, 2, 3)], 2)
+    with pytest.raises(BadInput, match="width 2, expected 3"):
+        integer_kernel([(1, 2, 3), (1, 2)], 3)
+    assert integer_kernel([], 2) == ((1, 0), (0, 1))
 
 
 def test_integer_kernel_saturated():

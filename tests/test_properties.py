@@ -1,7 +1,7 @@
 """Property-based invariants: equivalence, transforms, Hilbert counts."""
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
 from math import ceil, comb, floor, gcd
 from unittest import mock
 
@@ -19,7 +19,7 @@ from galereg.fiberhom import (
     polygon_of,
     reg_deg_via_hilbert,
 )
-from galereg.intlinalg import det2, dot2, xgcd
+from galereg.intlinalg import det2, dot2, smith_left, xgcd
 from galereg.quadrangle import (
     enumerate_syzygy_quadrangles,
     is_cohen_macaulay,
@@ -47,6 +47,7 @@ from galereg.zlattice import (
     permutation_canonical_key,
     transform_lattice,
 )
+from shared import RP2, compositions, naive_hilbert
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -263,22 +264,6 @@ def test_closed_form_nondegeneracy_matches_membership(rows):
 # Hilbert function
 
 
-def naive_hilbert(lattice, d):
-    n = lattice.n
-    classes = []
-    for combo in combinations_with_replacement(range(n), d):
-        mono = [0] * n
-        for i in combo:
-            mono[i] += 1
-        for rep in classes:
-            diff = tuple(m - r for m, r in zip(mono, rep))
-            if contains(lattice, diff):
-                break
-        else:
-            classes.append(tuple(mono))
-    return len(classes)
-
-
 @settings(deadline=None, max_examples=25)
 @given(gale_rows(max_n=4), st.integers(min_value=0, max_value=3))
 def test_hilbert_function_matches_naive_count(rows, d):
@@ -353,16 +338,6 @@ def test_closure_enumerates_the_live_classes(rows, horizon):
             == _fiber_multiset(grouped))
 
 
-def compositions(n, d):
-    out = []
-    for combo in combinations_with_replacement(range(n), d):
-        mono = [0] * n
-        for i in combo:
-            mono[i] += 1
-        out.append(tuple(mono))
-    return out
-
-
 @settings(deadline=None, max_examples=60)
 @given(packed_key_rows(), st.integers(min_value=0, max_value=5), st.data())
 def test_polygon_points_count_the_class(rows, d, data):
@@ -379,12 +354,6 @@ def test_polygon_points_count_the_class(rows, d, data):
 
 # ---------------------------------------------------------------------------
 # strong-collapse cores
-
-# the 6-vertex real projective plane: acyclic over Q, not over GF(2)
-RP2 = tuple(sum(1 << v for v in f) for f in (
-    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
-    (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5)))
-
 
 @settings(deadline=None, max_examples=150)
 @given(st.lists(st.integers(min_value=1, max_value=255), min_size=1, max_size=10))
@@ -439,6 +408,56 @@ def test_facet_key_memo_has_the_homology_of_the_complex(case, rng):
     for field in (None, 2):
         assert (fiberhom._fiber_ranks(key, 3, field)
                 == fiberhom._homology_ranks.__wrapped__(facets, 3, field))
+
+
+def boundary_matrices(facets):
+    """Face counts and boundary maps of the augmented chain complex of the facets.
+
+    The faces are bitmasks, the empty face first; the k-th map sends the
+    faces of k + 1 vertices to those of k.
+    """
+    faces = brute_faces(facets)
+    dims = [sorted(f for f in faces if f.bit_count() == k)
+            for k in range(max(map(int.bit_count, faces)) + 1)]
+    maps = []
+    for k in range(1, len(dims)):
+        index = {f: i for i, f in enumerate(dims[k - 1])}
+        mat = [[0] * len(dims[k]) for _ in dims[k - 1]]
+        for c, f in enumerate(dims[k]):
+            verts = [v for v in range(f.bit_length()) if f >> v & 1]
+            for pos, v in enumerate(verts):
+                mat[index[f & ~(1 << v)]][c] = (-1) ** pos
+        maps.append(mat)
+    return [len(d) for d in dims], maps
+
+
+def test_boundary_matrices_see_the_torsion_of_rp2():
+    sizes, maps = boundary_matrices(RP2)
+    assert sizes == [1, 6, 15, 10]
+    assert [smith_left(m)[1] for m in maps] == [(1,), (1,) * 5, (1,) * 9 + (2,)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(packed_key_rows(max_n=7))
+@example(((0, 2), (2, 0), (0, -2), (-2, 0)))
+@example(((2, 1), (0, 0), (-2, 1), (2, -1), (0, 0), (-2, -1)))
+def test_fiber_cores_have_free_homology_in_one_degree(rows):
+    """Each non-cone fiber's core has torsion-free integral homology, and
+    nonzero reduced homology in at most one degree.
+
+    Integral homology is free exactly when every Smith diagonal entry of
+    every boundary map is 1; then its ranks over Q and every GF(p) agree.
+    """
+    deg = hilbert_degree(lattice_from_gale(rows))
+    assume(deg <= 24)
+    for _, fiber in fiberhom._live_fibers(rows, deg + 2):
+        core = fiberhom._core(sum(1 << i for i, x in enumerate(a) if x) for a in fiber)
+        sizes, maps = boundary_matrices(core)
+        diags = [smith_left(m)[1] for m in maps]
+        assert all(d == 1 for diag in diags for d in diag)
+        ranks = [len(diag) for diag in diags] + [0]
+        reduced = [sizes[k] - ranks[k - 1] - ranks[k] for k in range(1, len(sizes))]
+        assert sum(1 for h in reduced if h) <= 1
 
 
 @settings(deadline=None, max_examples=25)

@@ -11,20 +11,10 @@ from galereg.quadrangle import (
     normalize_unit_square,
     regularity_fast,
 )
-from galereg.zlattice import (
-    gale_equivalent,
-    kernel_lattice,
-    lattice_from_gale,
-)
+from galereg.zlattice import gale_equivalent, lattice_from_gale
+from shared import CI_22, CM_NONCI_N3, TWISTED_CUBIC, n4_family
 
-TWISTED_CUBIC = kernel_lattice([(1, 1, 1, 1), (0, 1, 2, 3)])
-CI_22 = lattice_from_gale([(0, 2), (2, 0), (0, -2), (-2, 0)])
-CM_NONCI_N3 = lattice_from_gale([(1, 1), (1, -2), (-2, 1)])
 REG_EQ_DEG = lattice_from_gale([(1, 1), (2, -1), (-1, -1), (-2, 1)])
-
-
-def n4_family(d):
-    return lattice_from_gale([(1, 0), (-1, 1), (-1, -d + 1), (1, d - 2)])
 
 
 # ---------------------------------------------------------------------------
