@@ -70,23 +70,31 @@ points, so GRID_CAP bounds fiber polygons as well as G_H; both are
 checked before the box is allocated, and a box beyond either raises
 BadInput.
 
-Spans of rank r >= 3 (monomial curves) still group monomials degree by
-degree: on the 231 curves of degree at most 9, a prototype closure in
-Z^3 took 4.7 s, and grouping their few monomials takes about 0.2 s.  Classes
-are keyed through a left Smith transform U of the basis matrix:
-a and a' are congruent modulo the column lattice exactly when U*a and
-U*a' agree modulo the diagonal entries in the first rank coordinates
-and exactly elsewhere.  In degree d those coordinates pack into one
-int64 per monomial by mixed radix: a torsion coordinate with modulus
-m > 1 is a digit of radix m, and a free coordinate u_k . a, which lies
-in [d min(u_k, 0), d max(u_k, 0)], a digit of radix
-d (max(u_k, 0) - min(u_k, 0)) + 1; the free digits fold into one weight
-vector, so the key is one mat-vec plus one per torsion coordinate, and
-one stable argsort groups the classes.  An exact bound in Python ints
-covers the key and every partial sum of those mat-vecs; above it, the
-classes are keyed with big integers instead.  OR-ing each monomial's
-bitmask of zero coordinates over its class finds the cone classes,
-which are pruned.  The same counting gives the Hilbert function.
+Spans of rank n - 2 other than 2 (monomial curves with n = 3 or
+n >= 5) key every monomial through the horizon in one pass: among the
+231 curves of degree at most 9, the 152 such spans take about 0.2 s
+this way, where a prototype closure in Z^3 took 4.7 s.  The key is
+the grading K a, with K the 2 x n integer kernel of the span
+(:func:`~.intlinalg.integer_kernel`).  Since the span is checked saturated, it is the whole integer kernel
+of K, so a and a' lie in one class exactly when K a = K a'; and the
+all-ones vector, primitive and orthogonal to the span, is an integer
+combination of the rows of K, so K a fixes the total degree as well.
+The monomials of degree <= H are the first n coordinates of the
+compositions of H into n + 1 parts, in lex order; for |a| <= H the
+second grade k_1 . a lies in [H min(k_1, 0), H max(k_1, 0)], so with
+R = H (max(k_1, 0) - min(k_1, 0)) + 1 the weights R k_0 + k_1 pack K a
+into one mixed-radix number, injectively.  Every partial sum of that
+mat-vec is at most H max |weight| in absolute value; when that bound
+reaches _INT64_SAFE, the keys are the tuples K a in Python ints
+instead, numbered through a dict, and the rest runs unchanged.  One
+stable argsort groups the classes with each class's lex-least member
+first, one OR-reduction of the zero masks over each class finds the
+cone classes, which are pruned, and one sort of (class, support mask)
+pairs leaves each live class's distinct supports.  A curve in P^(n-1)
+has degree at least n - 1 (its grades are n distinct points on a line
+of Z^2), so H >= n, the budget C(H + n, n) <= MONOMIAL_CAP leaves
+n <= 11, and a pair (class index, n-bit mask) packs into int64 far
+below the bound.
 
 The homology of each non-cone fiber is memoized on its labelled
 support complex, keyed by the sorted tuple of its facets (the
@@ -127,10 +135,11 @@ MONOMIAL_CAP = 1 << 21  # monomials listed for Hilbert counts and curve spans; s
 
 
 class _Ctx:
-    """Per-lattice data for keying residue classes of Z^n modulo the span.
+    """Per-lattice data for keying residue classes of Z^n modulo a lattice.
 
-    The basis rows have full column rank: a Lattice has rank 2 by
-    construction, and a span of rank n - 2 is checked before it is keyed.
+    The basis rows must have full column rank.  In the package it serves
+    only the Hilbert counts of a rank-2 Lattice (:func:`_degree_data`),
+    whose rows have it by construction.
     ``torsion`` holds the rows of U whose coordinate is read modulo a
     diagonal entry m > 1, as (row, m); ``free`` the rows read exactly,
     as (row, span) with span = max(row, 0) - min(row, 0).
@@ -191,6 +200,20 @@ def _weigh(exps, vector):
     return np.einsum("ji,j->i", exps, np.array(vector, dtype=np.int64))
 
 
+def _sort_runs(key):
+    """(order, change) for a nonempty int64 key array.
+
+    ``order`` sorts key stably, so equal keys keep their input order,
+    and ``change[k]`` says that key[order[k]] starts a run of equal keys.
+    """
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    change = np.empty(len(sorted_key), dtype=bool)
+    change[0] = True
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
+    return order, change
+
+
 def _monomial_budget(n: int, d: int, cumulative: bool = True):
     """Refuse to list more than MONOMIAL_CAP monomials in n variables.
 
@@ -230,8 +253,7 @@ def _packing(ctx: _Ctx, d: int):
     classes of degree d.  Every partial sum of a mat-vec over a of degree
     d is at most d * max |weight| (resp. d * max |row|) in absolute
     value, and the torsion digits add less than the product of all
-    radices; ``bound`` covers both, every int64 conversion and the
-    n-bit zero masks of the cone prune.
+    radices; ``bound`` covers both and every int64 conversion.
     """
     e = max(d, 1)
     place = 1
@@ -246,16 +268,18 @@ def _packing(ctx: _Ctx, d: int):
         for j, x in enumerate(row):
             weights[j] += place * x
         place *= d * span + 1
-    bound = max(row_bound, e * max(map(abs, weights)) + place, 1 << ctx.n)
+    bound = max(row_bound, e * max(map(abs, weights)) + place)
     return weights, digits, bound
 
 
-def _degree_data(ctx: _Ctx, d: int, want_groups: bool):
-    """Fiber classes of total degree d.
+def _degree_data(ctx: _Ctx, d: int) -> int:
+    """Number of fiber classes of total degree d: the Hilbert function at d.
 
-    Returns (count, groups): the Hilbert function value at d and, when
-    requested, the list of fibers that survive the cone prune, each as
-    a list of exponent tuples.
+    Only :func:`hilbert_function` and :func:`hilbert_numerator` call it,
+    for rank-2 lattices, and :class:`_Ctx` serves nothing else; both go
+    once the counts are read off the closure (ROADMAP item 2).  Above
+    the int64 bound of :func:`_packing`, the classes are counted with
+    big-integer keys instead.
     """
     weights, digits, bound = _packing(ctx, d)
     if bound < _INT64_SAFE:
@@ -263,38 +287,8 @@ def _degree_data(ctx: _Ctx, d: int, want_groups: bool):
         key = _weigh(exps, weights)
         for row, m, place in digits:
             key += _weigh(exps, row) % m * place
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        change = np.empty(len(sorted_key), dtype=bool)
-        change[0] = True
-        np.not_equal(sorted_key[1:], sorted_key[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        count = len(starts)
-        if not want_groups or d == 0:
-            return count, []
-        # a class is a cone unless every variable is missing from some member
-        zero = _weigh(exps == 0, [1 << j for j in range(ctx.n)])
-        live = np.bitwise_or.reduceat(zero[order], starts) == (1 << ctx.n) - 1
-        sizes = np.diff(np.append(starts, len(order)))
-        members = exps[:, order[np.repeat(live, sizes)]].T.tolist()
-        groups = []
-        pos = 0
-        for size in sizes[live].tolist():
-            groups.append([tuple(a) for a in members[pos:pos + size]])
-            pos += size
-        return count, groups
-    # big-integer fallback
-    buckets = {}
-    for a in _py_compositions(ctx.n, d):
-        buckets.setdefault(ctx.key(a), []).append(a)
-    count = len(buckets)
-    if not want_groups or d == 0:
-        return count, []
-    groups = []
-    for rows in buckets.values():
-        if all(min(col) == 0 for col in zip(*rows)):
-            groups.append(rows)
-    return count, groups
+        return int(np.count_nonzero(_sort_runs(key)[1]))
+    return len({ctx.key(a) for a in _py_compositions(ctx.n, d)})
 
 
 # ---------------------------------------------------------------------------
@@ -513,23 +507,60 @@ def _live_fibers(rows, horizon: int):
             yield sum(a2), fiber
 
 
+def _span_fibers(rows, horizon: int):
+    """Non-cone fibers of a saturated span of rank n - 2 != 2, of total degree 1..horizon.
+
+    Yields (d, [rep], masks): rep the lex-least member of the fiber and
+    masks the distinct support bitmasks of its members.  Every monomial
+    through the horizon is keyed by its grading K a in one pass; see the
+    module docstring.  The monomials are counted before they are listed.
+    """
+    n = len(rows)
+    _monomial_budget(n, horizon)
+    grading = integer_kernel(tuple(zip(*rows)), n)
+    exps = _compositions(n + 1, horizon)[:n, 1:]  # degrees 1..horizon, in lex order
+    k0, k1 = grading
+    radix = horizon * (max(max(k1), 0) - min(min(k1), 0)) + 1
+    weights = [radix * x + y for x, y in zip(k0, k1)]
+    if horizon * max(map(abs, weights)) < _INT64_SAFE:
+        key = _weigh(exps, weights)
+    else:
+        ids = {}
+        key = np.array([ids.setdefault(tuple(sum(x * y for x, y in zip(k, a)) for k in grading), len(ids))
+                        for a in exps.T.tolist()], dtype=np.int64)
+    order, change = _sort_runs(key)  # each class's lex-least member first
+    starts = np.flatnonzero(change)
+    full = (1 << n) - 1
+    zero = _weigh(exps == 0, [1 << j for j in range(n)])[order]
+    # a class is a cone unless every variable is missing from some member
+    live = np.bitwise_or.reduceat(zero, starts) == full
+    cls = np.cumsum(change) - 1
+    alive = live[cls]
+    pairs = np.sort(cls[alive] << n | zero[alive] ^ full)  # (class, support mask)
+    first = np.ones(len(pairs), dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    pairs = pairs[first]
+    bounds = np.flatnonzero(np.diff(pairs >> n, prepend=-1)).tolist() + [len(pairs)]
+    masks = (pairs & full).tolist()
+    for k, rep in enumerate(map(tuple, exps[:, order[starts[live]]].T.tolist())):
+        yield sum(rep), [rep], masks[bounds[k]:bounds[k + 1]]
+
+
 @lru_cache(maxsize=1024)
 def _table(rows, horizon: int, field) -> BettiTable:
     """Betti entries of the span of the basis rows, through total degree horizon."""
     if len(rows[0]) == 2:
         top = 2  # S/I_L has projective dimension at most 3
-        fibers = _live_fibers(rows, horizon)
+        bits = [1 << i for i in range(len(rows))]
+        fibers = ((d, fiber, (sum(compress(bits, a)) for a in fiber))
+                  for d, fiber in _live_fibers(rows, horizon))
     else:
-        ctx = _ctx(rows)
-        _monomial_budget(ctx.n, horizon)
-        top = ctx.n - 2
-        fibers = ((d, fiber) for d in range(1, horizon + 1)
-                  for fiber in _degree_data(ctx, d, True)[1])
-    bits = [1 << i for i in range(len(rows))]
+        top = len(rows) - 2
+        fibers = _span_fibers(rows, horizon)
     entries = []
-    for d, fiber in fibers:
-        h = _fiber_ranks(_maximal(sum(compress(bits, a)) for a in fiber), top, field)
-        entries.extend(BettiEntry(i, min(fiber), d, h[i - 1])
+    for d, members, masks in fibers:
+        h = _fiber_ranks(_maximal(masks), top, field)
+        entries.extend(BettiEntry(i, min(members), d, h[i - 1])
                        for i in range(1, top + 2) if h[i - 1])
     return BettiTable(tuple(sorted(entries, key=_entry_sort_key)), horizon=horizon)
 
@@ -639,8 +670,7 @@ def hilbert_function(lattice: Lattice, d: int) -> int:
     if d < 0:
         return 0
     _monomial_budget(lattice.n, d, cumulative=False)
-    count, _ = _degree_data(_ctx(lattice.rows), d, False)
-    return count
+    return _degree_data(_ctx(lattice.rows), d)
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +730,7 @@ def hilbert_numerator(lattice: Lattice, through: int):
     ctx = _ctx(rows)
     hf = []
     while len(hf) <= through:
-        count, _ = _degree_data(ctx, len(hf), False)
-        hf.append(count)
+        hf.append(_degree_data(ctx, len(hf)))
     return tuple(sum((-1) ** j * math.comb(n, j) * hf[k - j]
                      for j in range(min(k, n) + 1))
                  for k in range(through + 1))

@@ -223,13 +223,14 @@ def _transition(pair_from, pair_to):
     """Integer 2 x 2 matrix U with pair_from[k] * U = pair_to[k], or None.
 
     Column k of U is the solve_2x2 solution of the system whose rows are
-    pair_from and whose right side is column k of pair_to; only
-    unimodular solutions are returned.
+    pair_from and whose right side is column k of pair_to.  Both
+    callers first require |det pair_to| = |det pair_from|, and then an
+    integer U has |det U| = 1.
     """
     f0, f1 = pair_from
     t0, t1 = pair_to
     cols = [solve_2x2(f0, f1, (t0[k], t1[k])) for k in range(2)]
-    if None in cols or abs(det2(*cols)) != 1:
+    if None in cols:
         return None
     return tuple(zip(*cols))
 

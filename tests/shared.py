@@ -2,6 +2,9 @@
 
 from itertools import combinations_with_replacement
 
+import numpy as np
+
+from galereg.fiberhom import _ctx
 from galereg.zlattice import contains, kernel_lattice, lattice_from_gale
 
 TWISTED_CUBIC = kernel_lattice([(1, 1, 1, 1), (0, 1, 2, 3)])
@@ -36,3 +39,34 @@ def naive_hilbert(lattice, d):
         if not any(contains(lattice, tuple(m - r for m, r in zip(mono, rep))) for rep in classes):
             classes.append(mono)
     return len(classes)
+
+
+def fiber_multiset(pairs):
+    """(d, fiber) pairs as a sorted list, each fiber a sorted tuple."""
+    return sorted((d, tuple(sorted(fiber))) for d, fiber in pairs)
+
+
+def brute_fibers(rows, degrees):
+    """Non-cone fibers of the given total degrees, grouped by the exact class key.
+
+    Every composition a is keyed as ``_ctx(rows).key`` keys it: U a for
+    the left Smith transform U of the basis rows, its first r
+    coordinates modulo the Smith diagonal.  U a is an int64 mat-vec,
+    exact below the bound checked first.  A class is a cone when some
+    variable divides all its members.  Returns the live classes as
+    :func:`fiber_multiset` lists them.
+    """
+    ctx = _ctx(tuple(rows))
+    u = np.array(ctx.u, dtype=np.int64)
+    out = []
+    for d in degrees:
+        if d * int(np.abs(u).max()) >= 1 << 62:
+            raise OverflowError(f"U a may leave int64 in degree {d}")
+        monos = compositions(ctx.n, d)
+        keys = np.array(monos, dtype=np.int64).reshape(len(monos), ctx.n) @ u.T
+        keys[:, :ctx.r] %= ctx.mods
+        classes = {}
+        for mono, key in zip(monos, map(tuple, keys.tolist())):
+            classes.setdefault(key, []).append(mono)
+        out.extend((d, c) for c in classes.values() if all(min(col) == 0 for col in zip(*c)))
+    return fiber_multiset(out)

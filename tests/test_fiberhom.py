@@ -20,7 +20,16 @@ from galereg.fiberhom import (
     regularity_from_numerator,
 )
 from galereg.zlattice import Lattice, kernel_lattice, lattice_from_gale
-from shared import CI_22, CM_NONCI_N3, RP2, TWISTED_CUBIC, n4_family, naive_hilbert
+from shared import (
+    CI_22,
+    CM_NONCI_N3,
+    RP2,
+    TWISTED_CUBIC,
+    brute_fibers,
+    fiber_multiset,
+    n4_family,
+    naive_hilbert,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -65,13 +74,13 @@ def test_hilbert_function_against_naive_grouping(lat):
 
 @pytest.mark.parametrize("lat", [TWISTED_CUBIC, CI_22, CM_NONCI_N3, n4_family(4)])
 def test_big_integer_fallback_matches_numpy(lat, monkeypatch):
+    # the closure's fibers are the live classes of the exact key
+    assert (fiber_multiset(fiberhom._live_fibers(lat.rows, 4))
+            == brute_fibers(lat.rows, range(1, 5)))
     ctx = fiberhom._ctx(lat.rows)
-    fast = [fiberhom._degree_data(ctx, d, True) for d in range(5)]
+    fast = [fiberhom._degree_data(ctx, d) for d in range(5)]
     monkeypatch.setattr(fiberhom, "_INT64_SAFE", 0)
-    for d, (count, groups) in enumerate(fast):
-        slow_count, slow_groups = fiberhom._degree_data(ctx, d, True)
-        assert slow_count == count
-        assert sorted(map(sorted, slow_groups)) == sorted(map(sorted, groups))
+    assert [fiberhom._degree_data(ctx, d) for d in range(5)] == fast
 
 
 @pytest.mark.parametrize("d", [255, 256, 300])
@@ -79,12 +88,14 @@ def test_narrow_exponents_match_big_integer_fallback(d, monkeypatch):
     # uint8 exponents through degree 255, uint16 above: the int64 key must
     # not be computed in either narrow dtype, where 3 * 255 already wraps
     ctx = fiberhom._ctx(CM_NONCI_N3.rows)
-    count, groups = fiberhom._degree_data(ctx, d, True)
+    count = fiberhom._degree_data(ctx, d)
     hf = hilbert_function(CM_NONCI_N3, d)
+    # all three classes are live here: each is the fiber polygon of its least member
+    fibers = [fiber_of(CM_NONCI_N3, (0, k, d - k)) for k in range(3)]
     monkeypatch.setattr(fiberhom, "_INT64_SAFE", 0)
-    slow_count, slow_groups = fiberhom._degree_data(ctx, d, True)
+    slow_count = fiberhom._degree_data(ctx, d)
     assert hf == count == slow_count == hilbert_degree(CM_NONCI_N3)
-    assert sorted(map(sorted, slow_groups)) == sorted(map(sorted, groups))
+    assert [(d, f.monomials) for f in fibers] == brute_fibers(CM_NONCI_N3.rows, [d])
 
 
 @pytest.mark.parametrize("n, d, itemsize", [(3, 0, 1), (4, 7, 1), (6, 12, 1), (3, 255, 1), (3, 256, 2)])
@@ -332,6 +343,35 @@ def test_curve_horizon_misses_nothing(exponents):
     assert table.horizon == deg + 1
     wider = fiberhom._table(tuple(zip(*cols)), deg + 3, None)
     assert wider.entries == table.entries
+
+
+# the span of the curve (0, 1, 2, 5, 7) in another basis: both grades of
+# its integer kernel, (1, 0, -1, -4, -6) and (2, 1, 0, -3, -5), change sign
+MIXED_SIGN_SPAN = [(-1, 0, 1, 1, -1), (4, -5, 0, 1, 0), (6, -7, 0, 0, 1)]
+
+
+@pytest.mark.parametrize("columns", [curve_lattice_columns(e) for e in ((0, 1, 3), (0, 2, 5), (0, 1, 2, 5, 7),
+                                                                        (0, 2, 3, 7, 9))] + [MIXED_SIGN_SPAN])
+def test_grading_key_groups_span_fibers_as_the_exact_key(columns, monkeypatch):
+    rows = tuple(zip(*columns))
+    horizon = degree_and_regularity_of_span(columns)[2].horizon
+    expected = sorted((d, fiber[0], sorted({sum(1 << j for j, x in enumerate(a) if x) for a in fiber}))
+                      for d, fiber in brute_fibers(rows, range(1, horizon + 1)))
+
+    def grouped():
+        return sorted((d, rep, sorted(masks)) for d, (rep,), masks in fiberhom._span_fibers(rows, horizon))
+
+    assert grouped() == expected
+    table = fiberhom._table.__wrapped__(rows, horizon, None)
+    # below the int64 bound the keys are the tuples K a in Python ints
+    monkeypatch.setattr(fiberhom, "_INT64_SAFE", 0)
+    assert grouped() == expected
+    assert fiberhom._table.__wrapped__(rows, horizon, None) == table
+
+
+def test_span_oracle_answers_every_basis_of_a_span():
+    same = curve_lattice_columns((0, 1, 2, 5, 7))
+    assert degree_and_regularity_of_span(MIXED_SIGN_SPAN) == degree_and_regularity_of_span(same)
 
 
 def test_span_oracle_rejects_unsupported_spans():
