@@ -536,7 +536,7 @@ def _span_fibers(rows, horizon: int):
     live = np.bitwise_or.reduceat(zero, starts) == full
     cls = np.cumsum(change) - 1
     alive = live[cls]
-    pairs = np.sort(cls[alive] << n | zero[alive] ^ full)  # (class, support mask)
+    pairs = np.sort(cls[alive] << n | zero[alive] ^ full, kind="stable")  # (class, support mask)
     first = np.ones(len(pairs), dtype=bool)
     first[1:] = pairs[1:] != pairs[:-1]
     pairs = pairs[first]

@@ -363,7 +363,7 @@ def test_grading_key_groups_span_fibers_as_the_exact_key(columns, monkeypatch):
 
     assert grouped() == expected
     table = fiberhom._table.__wrapped__(rows, horizon, None)
-    # below the int64 bound the keys are the tuples K a in Python ints
+    # with the int64 bound forced to 0, the keys are the exact tuples K a
     monkeypatch.setattr(fiberhom, "_INT64_SAFE", 0)
     assert grouped() == expected
     assert fiberhom._table.__wrapped__(rows, horizon, None) == table
