@@ -17,7 +17,7 @@ from pathlib import Path
 
 import galereg.cli
 import galereg.fiberhom as fiberhom
-import galereg.searches  # noqa: F401  (the tracer wraps it too)
+import galereg.searches  # noqa: F401  (loaded before the bindings are saved: the tracer wraps it too)
 from galereg.intlinalg import integer_kernel
 
 TRACER = Path(__file__).resolve().parents[1] / "galbench" / "tracer.py"
