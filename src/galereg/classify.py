@@ -42,11 +42,10 @@ from .fiberhom import (
     hilbert_numerator,
     regularity_from_numerator,
 )
-from .intlinalg import det2, is_visible
+from .intlinalg import det2, is_visible, xgcd
 from .quadrangle import is_cohen_macaulay, is_complete_intersection
 from .zlattice import (
     Lattice,
-    gale_equivalent,
     is_nondegenerate,
     is_saturated,
     lattice_from_gale,
@@ -343,8 +342,10 @@ def _match_n4(vs):
     of basis and a permutation of the coordinates keep the degree, so
     ``vs`` can only be equivalent to the member with d = deg I_L.
     """
-    d = hilbert_degree(lattice_from_gale(vs))
-    if d >= 3 and gale_equivalent(vs, _n4_family_diagram(d), up_to_permutation=True):
+    lat = lattice_from_gale(vs)
+    d = hilbert_degree(lat)
+    if d >= 3 and permutation_canonical_key(lat) == permutation_canonical_key(
+            lattice_from_gale(_n4_family_diagram(d))):
         return "N4_FAMILY", {"d": d}
     return None
 
@@ -452,27 +453,39 @@ def matches_n4_maximal_form(vectors):
 
 
 def matches_reg_eq_deg_form(vectors):
-    """Match four vectors against the reg = deg shapes.
+    """The least (a, b) with D(a, b) = {+-(1,1), +-(a,-b)} equivalent to
+    the four vectors (by change of basis and permutation), or None.
 
-    These are {(1,1), (a,-b), (-1,-1), (-a,b)} and
-    {(1,a), (1,-b), (-1,-a), (-1,b)} with a, b >= 1; returns
-    (shape, a, b), shape "diagonal" for the first and "columns" for the
-    second, or None.  a and b are read off the vectors: (a, -b) is the
-    one diagonal vector with x > 0 > y, and in sorted order the columns
-    shape ends with (1, -b), (1, a).  The shapes meet only in the
-    columns with a = 1, which are the diagonal shape (1, b); that case
-    is reported as "diagonal".
+    O(1): they must pair up as {+-p, +-q} with beta = det(p, q) != 0
+    and p or q primitive.  Proof: take p primitive, r with
+    det(p, r) = 1, and alpha = det(q, r); then q = alpha p + beta r, and
+    p -> (1,1), r -> (0,1) sends q to (alpha, alpha + beta).  Replacing r
+    by +-r + k p, or q by -q, turns (alpha, beta) into
+    (+-alpha + k beta, +-beta), so the vectors are equivalent to D(a, b)
+    with a + b = |beta| and a = +-alpha (mod |beta|).  The one exception
+    is alpha = 0 (mod |beta|): then +-p lie off the line of q at
+    |det| = 1, and the diagram is degenerate (None).  An equivalence
+    onto D(a, b) sends p or q to +-(1,1), so that one is primitive; when
+    both are, each gives its a (D(2, 5) ~ D(3, 4)), and the least is
+    taken.  A columns shape {+-(1, a), +-(1, -b)} has this form, so it
+    is a diagonal shape up to equivalence.
     """
     vs = sorted(tuple(int(x) for x in v) for v in vectors)
     if len(vs) != 4:
         raise BadInput("expected exactly four vectors")
-    for a, neg_b in vs:
-        if a > 0 > neg_b and vs == sorted([(1, 1), (a, neg_b), (-1, -1), (-a, -neg_b)]):
-            return "diagonal", a, -neg_b
-    a, b = vs[3][1], -vs[2][1]
-    if a >= 1 and b >= 1 and vs == sorted([(1, a), (1, -b), (-1, -a), (-1, b)]):
-        return "columns", a, b
-    return None
+    # negation reverses the order, so {+-p, +-q} sorts as p, q, -q, -p
+    p, q = vs[0], vs[1]
+    if vs[3] != (-p[0], -p[1]) or vs[2] != (-q[0], -q[1]):
+        return None
+    least = m = abs(det2(p, q))
+    for u, v in ((p, q), (q, p)):
+        g, x, y = xgcd(u[0], u[1])
+        if m and g == 1:
+            alpha = det2(v, (-y, x)) % m
+            if not alpha:
+                return None
+            least = min(least, alpha, m - alpha)
+    return (least, m - least) if least < m else None
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, compress
-from operator import sub
+from operator import mul, sub
 
 import numpy as np
 
@@ -158,7 +158,7 @@ class _Ctx:
         self.free = tuple((row, max(max(row), 0) - min(min(row), 0)) for row in u[self.r:])
 
     def key(self, a):
-        w = [sum(u_i[j] * a[j] for j in range(self.n)) for u_i in self.u]
+        w = [sum(map(mul, u_i, a)) for u_i in self.u]
         for k in range(self.r):
             w[k] %= self.mods[k]
         return tuple(w)
@@ -277,7 +277,7 @@ def _degree_data(ctx: _Ctx, d: int) -> int:
 
     Only :func:`hilbert_function` and :func:`hilbert_numerator` call it,
     for rank-2 lattices, and :class:`_Ctx` serves nothing else; both go
-    once the counts are read off the closure (ROADMAP item 2).  Above
+    once the counts are read off the closure (ROADMAP item 4).  Above
     the int64 bound of :func:`_packing`, the classes are counted with
     big-integer keys instead.
     """

@@ -39,7 +39,7 @@ from pathlib import Path
 
 from .classify import MAXIMAL_CI_DIAGRAMS, classify_cm_nonci, classify_maximal
 from .errors import InternalInconsistency, UnknownSearch
-from .fiberhom import degree_and_regularity, hilbert_function
+from .fiberhom import degree_and_regularity, hilbert_degree, hilbert_function
 from .quadrangle import is_cohen_macaulay, is_complete_intersection
 from .zlattice import (
     Lattice,
@@ -215,12 +215,15 @@ def _ci_classes(n):
 
 
 def _two_quadrics_maximal(lat: Lattice) -> bool:
-    """Minimally generated by exactly two quadrics, with reg = deg - 1."""
-    deg, reg, table = degree_and_regularity(lat)
-    gens = table.select(1)
-    if sum(e.rank for e in gens) != 2 or any(e.total_degree != 2 for e in gens):
-        return False
-    return reg == deg - 1
+    """Minimally generated by exactly two quadrics, with reg = deg - 1.
+
+    For a nondegenerate complete intersection this is deg = 4.  Proof:
+    a degree-1 binomial x_i - x_j would put e_i - e_j in the lattice, so
+    the generator degrees have d_1, d_2 >= 2.  Koszul gives deg = d_1 d_2
+    and reg = d_1 + d_2 - 1, so reg = deg - 1 exactly when
+    (d_1 - 1)(d_2 - 1) = 1, that is d_1 = d_2 = 2, which is d_1 d_2 = 4.
+    """
+    return hilbert_degree(lat) == 4
 
 
 def search_ci_table(ns=range(3, 9)) -> SearchReport:

@@ -219,57 +219,24 @@ def transform_lattice(lattice: Lattice, u) -> Lattice:
     return Lattice(tuple(apply_right(r, u) for r in lattice.rows))
 
 
-def _transition(pair_from, pair_to):
-    """Integer 2 x 2 matrix U with pair_from[k] * U = pair_to[k], or None.
-
-    Column k of U is the solve_2x2 solution of the system whose rows are
-    pair_from and whose right side is column k of pair_to.  Both
-    callers first require |det pair_to| = |det pair_from|, and then an
-    integer U has |det U| = 1.
-    """
-    f0, f1 = pair_from
-    t0, t1 = pair_to
-    cols = [solve_2x2(f0, f1, (t0[k], t1[k])) for k in range(2)]
-    if None in cols:
-        return None
-    return tuple(zip(*cols))
-
-
 def gale_equivalent(g, h, up_to_permutation: bool = False) -> bool:
     """Decide whether two Gale diagrams differ by a GL_2(Z) change of basis.
 
-    With ``up_to_permutation`` the vector sequences are compared as
-    multisets, so the answer is whether the two lattices agree up to a
-    relabeling of the coordinates.
+    Each is built into a :class:`Lattice`, ``h`` only when it has as many
+    rows as ``g``, and an invalid one raises (RankDeficient for a ``g``
+    that does not span the plane).  In order, H = G U for a unimodular
+    U exactly when both span one lattice.  With ``up_to_permutation``
+    the rows are compared as multisets: the answer is equality of the
+    :func:`permutation_canonical_key` of each.
     """
-    gv = tuple(tuple(v) for v in g)
-    hv = tuple(tuple(v) for v in h)
-    if len(gv) != len(hv):
+    a = lattice_from_gale(g)
+    if len(a.rows) != len(h):
         return False
-    pair = next(((i, j) for i, j in combinations(range(len(gv)), 2)
-                 if det2(gv[i], gv[j])), None)
-    if pair is None:
-        raise RankDeficient("diagram does not span the plane")
-    i, j = pair
-    dg = abs(det2(gv[i], gv[j]))
-    if not up_to_permutation:
-        if abs(det2(hv[i], hv[j])) != dg:
-            return False
-        u = _transition((gv[i], gv[j]), (hv[i], hv[j]))
-        if u is None:
-            return False
-        return all(apply_right(v, u) == w for v, w in zip(gv, hv))
-    h_sorted = sorted(hv)
-    for k in range(len(hv)):
-        for l in range(len(hv)):
-            if k == l or abs(det2(hv[k], hv[l])) != dg:
-                continue
-            u = _transition((gv[i], gv[j]), (hv[k], hv[l]))
-            if u is None:
-                continue
-            if sorted(apply_right(v, u) for v in gv) == h_sorted:
-                return True
-    return False
+    b = lattice_from_gale(h)
+    if up_to_permutation:
+        return permutation_canonical_key(a) == permutation_canonical_key(b)
+    return (all(contains(a, c) for c in b.columns())
+            and all(contains(b, c) for c in a.columns()))
 
 
 def permutation_canonical_key(lattice: Lattice) -> tuple:

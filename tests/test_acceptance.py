@@ -68,6 +68,12 @@ def test_criterion_1_two_quadric_table():
         n, saturated, _ = expected[key]
         assert lat.n == n
         assert is_saturated(lat) == saturated
+        # the search keeps deg = 4; the oracle confirms two quadrics, reg 3
+        deg, reg, table = degree_and_regularity(lat)
+        assert (deg, reg) == (4, 3)
+        gens = table.select(1)
+        assert sum(e.rank for e in gens) == 2
+        assert all(e.total_degree == 2 for e in gens)
     assert check_golden("table1", report)
     assert time.perf_counter() - start < 300
 

@@ -47,7 +47,14 @@ from galereg.zlattice import (
     permutation_canonical_key,
     transform_lattice,
 )
-from shared import RP2, brute_fibers, compositions, fiber_multiset, naive_hilbert
+from shared import (
+    RP2,
+    brute_fibers,
+    compositions,
+    fiber_multiset,
+    gale_equivalent_by_search,
+    naive_hilbert,
+)
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -106,17 +113,18 @@ def equivalent_pair(draw):
 def test_equivalent_images_share_keys(pair):
     base, image = pair
     assert permutation_canonical_key(base) == permutation_canonical_key(image)
-    assert gale_equivalent(base.rows, image.rows, up_to_permutation=True)
+    assert gale_equivalent_by_search(base.rows, image.rows, up_to_permutation=True)
+    assert gale_equivalent(base.rows, image.rows) == gale_equivalent_by_search(base.rows, image.rows)
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(min_value=3, max_value=5).flatmap(
     lambda n: st.tuples(gale_rows(min_n=n, max_n=n), gale_rows(min_n=n, max_n=n))))
 def test_key_equality_decides_equivalence(pair):
+    """Both flags of gale_equivalent against the transition search."""
     rows_a, rows_b = pair
-    a, b = lattice_from_gale(rows_a), lattice_from_gale(rows_b)
-    same_key = permutation_canonical_key(a) == permutation_canonical_key(b)
-    assert same_key == gale_equivalent(rows_a, rows_b, up_to_permutation=True)
+    for flag in (False, True):
+        assert gale_equivalent(rows_a, rows_b, flag) == gale_equivalent_by_search(rows_a, rows_b, flag)
 
 
 @settings(deadline=None, max_examples=40)

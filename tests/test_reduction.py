@@ -10,7 +10,9 @@ from galereg.errors import (
     PreconditionShape,
     PreconditionUnbalancedPair,
 )
+from galereg.classify import matches_reg_eq_deg_form
 from galereg.fiberhom import degree_and_regularity
+from galereg.quadrangle import is_cohen_macaulay, normalize_unit_square
 from galereg.reduction import (
     ReductionDatum,
     hits_all_open_quadrants,
@@ -25,6 +27,7 @@ from galereg.reduction import (
     reduced_gale,
     support_sets,
 )
+from galereg.searches import sweep_orbits
 from galereg.zlattice import lattice_from_gale
 
 # the worked five-vector example used throughout
@@ -245,3 +248,58 @@ def test_new_quadrangle_shape_precondition():
 
 def test_find_reg_eq_deg_partition():
     assert find_reg_eq_deg_partition(W) == W_PART
+
+
+# ---------------------------------------------------------------------------
+# the four-vector lemmas replayed against the oracle on the (6, 2) sweep
+
+
+def normalized_sweep():
+    """(normalized lattice, its partitions) of each non-CM (6, 2) orbit whose
+    unit-square normalization hits all four open quadrants."""
+    out = []
+    for lat in sweep_orbits(6, 2)[0]:
+        if is_cohen_macaulay(lat):
+            continue
+        diagram, _ = normalize_unit_square(lat)
+        try:
+            partitions = enumerate_partitions(diagram)
+        except NotAllQuadrants:
+            continue
+        out.append((lattice_from_gale(diagram), partitions))
+    return out
+
+
+def test_new_quadrangle_is_a_third_syzygy_on_the_sweep():
+    checked = 0
+    for normalized, partitions in normalized_sweep():
+        for part in partitions:
+            datum = ReductionDatum(normalized, normalized.rows, part)
+            try:
+                drop = degree_drop_one(datum)
+            except PreconditionNotBalanced:
+                continue
+            if not drop:
+                continue
+            q = new_quadrangle(datum)
+            _, l_q = reduced_gale(datum)
+            _, _, table = degree_and_regularity(l_q)
+            third = {(tuple(e.representative), e.total_degree) for e in table.select(3)}
+            assert (tuple(q.multidegree.representative), q.total_degree) in third, part
+            checked += 1
+    assert checked == 19
+
+
+def test_reg_eq_deg_partitions_on_the_sweep():
+    """Each L_Q has oracle reg = deg, and its diagram is a reg = deg shape."""
+    checked = 0
+    for normalized, _ in normalized_sweep():
+        part = find_reg_eq_deg_partition(normalized)
+        if part is None:
+            continue
+        rows, l_q = reduced_gale(ReductionDatum(normalized, normalized.rows, part))
+        deg, reg, _ = degree_and_regularity(l_q)
+        assert reg == deg, rows
+        assert matches_reg_eq_deg_form(rows) is not None, rows
+        checked += 1
+    assert checked == 74

@@ -149,6 +149,10 @@ def test_gale_equivalent_permutation_flag():
 def test_gale_equivalent_rejects_rank_one():
     with pytest.raises(RankDeficient):
         gale_equivalent(((1, 0), (1, 0), (-2, 0)), ((1, 0), (-2, 1), (1, -1)))
+    # an h of the same length is built into a Lattice too
+    with pytest.raises(RankDeficient):
+        gale_equivalent(((1, 0), (-2, 1), (1, -1)), ((1, 0), (1, 0), (-2, 0)), up_to_permutation=True)
+    assert not gale_equivalent(((1, 0), (-2, 1), (1, -1)), ((1, 0), (1, 0), (-1, 0), (-1, 0)))
 
 
 def test_permutation_canonical_key_separates():
